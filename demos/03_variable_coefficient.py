@@ -8,8 +8,8 @@ variable coefficient!) shows the equation actually solved is
     y'' - (a n x^(n-1) + a^2 x^(2n)) y = q(x).
 
 The closed-form integrals are non-elementary in general, so both stages are
-marched simultaneously with classical RK4; adaptive quadrature of the closed
-forms cross-checks the march at probe points.
+marched simultaneously with classical RK4; Gauss-Legendre quadrature of the
+closed forms cross-checks the march at probe points.
 
 Run:  python demos/03_variable_coefficient.py
 """
@@ -44,10 +44,10 @@ print("  and the centered-difference check by ~4 (second order).")
 
 sol = solve_varcoef(ode, 1e-3)
 print()
-print("quadrature cross-check of the closed forms at probe points:")
+print("Gauss-Legendre cross-check of the closed forms at probe points:")
 for x, dphi, dy in zip(sol.probe_xs, sol.probe_phi_errors, sol.probe_y_errors):
-    print(f"  x={x:.2f}:  |phi_march - phi_quad| = {dphi:.1e}   "
-          f"|y_march - y_quad| = {dy:.1e}")
+    print(f"  x={x:.2f}:  |phi_march - phi_gl| = {dphi:.1e}   "
+          f"|y_march - y_gl| = {dy:.1e}")
 
 print()
 print("sampled solution (every 200th node):")

@@ -9,12 +9,12 @@ candidate residual).
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from fractions import Fraction
 
 import click
-import numpy as np
 
 from . import __version__
 from .algebra import Expr, RealExpr, evaluate
@@ -39,7 +39,6 @@ from .parsing import (
     parse_forcing,
 )
 from .roots import characteristic, find_roots
-from .varcoef import PowerCoefODE, residual_varcoef, solve_varcoef
 from .verify import (
     STATUS_EXACT_ZERO,
     STATUS_NONZERO,
@@ -88,6 +87,21 @@ def _root_str(value) -> str:
         return f"{value.re} {sign} {abs(value.im)}i"
     sign = "+" if z.imag >= 0 else "-"
     return f"{z.real!r} {sign} {abs(z.imag)!r}i"
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """The points of ``numpy.linspace(start, stop, num)``, bit for bit."""
+    div = num - 1
+    delta = stop - start
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0:
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
 
 
 def _poly_str(coeffs) -> str:
@@ -275,18 +289,17 @@ def eval_cmd(ode_text, t_from, t_to, npoints):
         _fail(str(exc), EXIT_NOT_CLOSED_FORM)
     except OdeCascadeError as exc:
         _fail(str(exc), 1)
-    grid = np.linspace(t_from, t_to, npoints)
     click.echo(f"{ode.var},y")
-    for t in grid:
+    for t in _linspace(t_from, t_to, npoints):
         try:
-            value = evaluate(solution, float(t))
+            value = evaluate(solution, t)
         except OdeCascadeError as exc:
             _fail(str(exc), 1)
         if isinstance(solution, Expr):
             if abs(value.imag) > 1e-9 * (1 + abs(value)):
                 _fail("solution is complex-valued on this grid", 1)
             value = value.real
-        click.echo(f"{float(t)!r},{float(value)!r}")
+        click.echo(f"{t!r},{float(value)!r}")
 
 
 @main.command()
@@ -302,6 +315,8 @@ def varcoef(a, n, forcing_text, x0, x1, step):
     Prints CSV of (x, phi, y, residuals); the residual summary goes to
     stderr.
     """
+    from .varcoef import PowerCoefODE, solve_varcoef
+
     try:
         forcing, _ = parse_numeric_function(forcing_text)
     except ParseError as exc:
@@ -312,16 +327,16 @@ def varcoef(a, n, forcing_text, x0, x1, step):
         sol = solve_varcoef(ode, step)
     except (StepTooLarge, OverflowGuard, ValueError) as exc:
         _fail(str(exc), 1)
-    r1, r2, rfd = residual_varcoef(sol, ode)
     click.echo("x,phi,y,stage1_residual,stage2_residual,fd_residual")
     for i in range(len(sol.xs)):
         cells = [repr(float(sol.xs[i])), repr(float(sol.phi[i])), repr(float(sol.y[i]))]
         for arr in (sol.stage1_residuals, sol.stage2_residuals, sol.fd_residuals):
             v = arr[i]
-            cells.append("" if np.isnan(v) else repr(float(v)))
+            cells.append("" if math.isnan(v) else repr(float(v)))
         click.echo(",".join(cells))
     click.echo(
-        f"max residuals: stage1={r1:.3e} stage2={r2:.3e} fd={rfd:.3e}",
+        f"max residuals: stage1={sol.max_stage1_residual:.3e} "
+        f"stage2={sol.max_stage2_residual:.3e} fd={sol.max_fd_residual:.3e}",
         err=True,
     )
 

@@ -17,9 +17,9 @@ only for n = 0 or a = 0.  All residual checks here use that factored form.
 The closed-form integrals are generally non-elementary, so the primary path
 marches both stages simultaneously with classical fourth-order Runge-Kutta
 from zero initial values (any initial values give a particular solution;
-zero is the reproducible choice).  The closed forms are still used: adaptive
-quadrature evaluates them at a handful of probe points as an independent
-cross-check of the march.
+zero is the reproducible choice).  The closed forms are still used:
+composite Gauss-Legendre quadrature evaluates them at a handful of probe
+points as an independent cross-check of the march.
 """
 
 from __future__ import annotations
@@ -28,13 +28,19 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
 from .algebra import Expr, evaluate
 from .errors import NotFactorable, OverflowGuard, StepTooLarge
 
 #: exp argument cap: |a x^(n+1)/(n+1)| above this overflows doubles.
 EXP_ARG_LIMIT = 700.0
+#: Gauss-Legendre nodes per panel of the cross-check quadrature.
+GL_ORDER = 16
+_GL_NODES, _GL_WEIGHTS = leggauss(GL_ORDER)
+#: The cross-check doubles its panel count up to this many, then settles for
+#: its finest estimate.
+GL_MAX_PANELS = 32
 
 
 @dataclass(frozen=True)
@@ -129,8 +135,8 @@ def solve_varcoef(ode: PowerCoefODE, h: float, stage_tol: float = 1e-6,
     Zero initial values at x0 give the canonical particular solution.  After
     the march the stage residuals are checked (:class:`StepTooLarge` if they
     exceed ``stage_tol``) and the integrating-factor closed forms are
-    evaluated by adaptive quadrature at ``probe_points`` probe nodes as an
-    independent cross-check.
+    evaluated by Gauss-Legendre quadrature at ``probe_points`` probe nodes as
+    an independent cross-check.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -189,31 +195,19 @@ def solve_varcoef(ode: PowerCoefODE, h: float, stage_tol: float = 1e-6,
 
 def _cross_check(sol: NumericSolution, ode: PowerCoefODE,
                  probe_points: int, probe_tol: float):
-    """Evaluate the closed-form integrating-factor solutions by adaptive
+    """Evaluate the closed-form integrating-factor solutions by Gauss-Legendre
     quadrature at a few grid nodes and compare with the march."""
-    a, n, x0 = ode.a, ode.n, ode.x0
     q = ode.forcing_callable()
-
-    def big_a(x):
-        return _exp_arg(a, n, x)
-
-    def phi_exact(x):
-        integral, _ = quad(lambda s: math.exp(big_a(s)) * q(s), x0, x,
-                           epsabs=1e-12, epsrel=1e-10, limit=200)
-        return math.exp(-big_a(x)) * integral
-
-    def y_exact(x):
-        integral, _ = quad(lambda s: math.exp(-big_a(s)) * phi_exact(s), x0, x,
-                           epsabs=1e-10, epsrel=1e-8, limit=200)
-        return math.exp(big_a(x)) * integral
-
     count = len(sol.xs)
     idx = np.unique(np.linspace(1, count - 1, probe_points).astype(int))
     probe_xs = sol.xs[idx]
+    exact = np.array([_closed_forms(ode, q, x) for x in probe_xs])
+    if not np.all(np.isfinite(exact)):
+        raise OverflowGuard("closed-form cross-check is not finite on this domain")
     phi_scale = max(1.0, float(np.max(np.abs(sol.phi))))
     y_scale = max(1.0, float(np.max(np.abs(sol.y))))
-    phi_err = np.array([abs(phi_exact(x) - sol.phi[i]) for i, x in zip(idx, probe_xs)])
-    y_err = np.array([abs(y_exact(x) - sol.y[i]) for i, x in zip(idx, probe_xs)])
+    phi_err = np.abs(exact[:, 0] - sol.phi[idx])
+    y_err = np.abs(exact[:, 1] - sol.y[idx])
     sol.probe_xs = probe_xs
     sol.probe_phi_errors = phi_err
     sol.probe_y_errors = y_err
@@ -222,6 +216,52 @@ def _cross_check(sol: NumericSolution, ode: PowerCoefODE,
             f"quadrature cross-check deviates by {float(np.max(phi_err)):.3e} (phi) / "
             f"{float(np.max(y_err)):.3e} (y); the march is not resolved, reduce h"
         )
+
+
+def _closed_forms(ode: PowerCoefODE, q, x: float):
+    """(phi(x), y(x)) from the integrating-factor closed forms, with A(s) the
+    exponent a s^(n+1)/(n+1):
+
+        phi(x) = e^(-A(x)) I(x),   I(x) = int_x0^x e^(A(u)) q(u) du,
+        y(x)   = e^(A(x)) J(x),    J(x) = int_x0^x e^(-A(s)) phi(s) ds.
+
+    Swapping the order of integration in J gives
+
+        J(x) = int_x0^x q(u) int_u^x e^(A(u) - 2 A(s)) ds du,
+
+    so q is sampled once per node, shared by I and J.  The panel count
+    doubles until two successive estimates of I agree to epsabs 1e-12 /
+    epsrel 1e-10 and of J to 1e-10 / 1e-8.
+    """
+    a, n, x0 = ode.a, ode.n, ode.x0
+    previous = None
+    panels = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            t, w = _unit_rule(panels)
+            us = x0 + (x - x0) * t
+            qs = np.array([q(u) for u in us])
+            a_u = _exp_arg(a, n, us)
+            integral_i = (x - x0) * np.dot(w, np.exp(a_u) * qs)
+            ss = us[:, None] + (x - us)[:, None] * t
+            inner = (x - us) * (np.exp(a_u[:, None] - 2 * _exp_arg(a, n, ss)) @ w)
+            integral_j = (x - x0) * np.dot(w, qs * inner)
+            converged = previous is not None and (
+                abs(integral_i - previous[0]) <= max(1e-12, 1e-10 * abs(integral_i))
+                and abs(integral_j - previous[1]) <= max(1e-10, 1e-8 * abs(integral_j)))
+            if converged or panels >= GL_MAX_PANELS:
+                break
+            previous = integral_i, integral_j
+            panels *= 2
+        big_a = _exp_arg(a, n, x)
+        return math.exp(-big_a) * integral_i, math.exp(big_a) * integral_j
+
+
+def _unit_rule(panels: int):
+    """Nodes and weights of the composite Gauss-Legendre rule on [0, 1] with
+    ``panels`` equal panels of :data:`GL_ORDER` nodes each."""
+    nodes = (np.arange(panels)[:, None] + (_GL_NODES + 1) / 2) / panels
+    return nodes.ravel(), np.tile(_GL_WEIGHTS / (2 * panels), panels)
 
 
 def _residual_arrays(sol: NumericSolution, ode: PowerCoefODE):

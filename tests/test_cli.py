@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -155,6 +156,25 @@ def test_eval_single_point_grid(runner):
     lines = result.output.strip().splitlines()
     assert len(lines) == 2
     assert float(lines[1].split(",")[0]) == 2.0
+
+
+@pytest.mark.parametrize("t_from, t_to, points", [
+    (1.0, 2.0, 50),
+    (0.1, 0.7, 13),
+    (-1e-3, 1e3, 11),
+    (2.0, 5.0, 1),
+    (3.0, 3.0, 4),
+    (2.0, -1.5, 7),
+    (0.3, 0.1, 4),
+    (0.0, 5e-324, 10),
+])
+def test_eval_grid_matches_numpy_linspace(runner, t_from, t_to, points):
+    result = runner.invoke(main, [
+        "eval", "y' = t", "--from", repr(t_from), "--to", repr(t_to),
+        "--points", str(points)])
+    assert result.exit_code == 0
+    printed = [line.split(",")[0] for line in result.output.strip().splitlines()[1:]]
+    assert printed == [repr(float(t)) for t in np.linspace(t_from, t_to, points)]
 
 
 def test_eval_matches_evaluate(runner):

@@ -13,6 +13,7 @@ from odecascade import (
     residual_varcoef,
     solve_varcoef,
 )
+from odecascade.varcoef import _closed_forms, _cross_check
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +116,35 @@ def test_probe_cross_check_agrees():
     assert len(sol.probe_xs) == 5
     assert float(np.max(sol.probe_phi_errors)) < 1e-8
     assert float(np.max(sol.probe_y_errors)) < 1e-8
+
+
+def test_closed_forms_match_elementary_solutions():
+    # n = 0, q = e^(b x): phi' + a phi = q and y' - a y = phi from zero at 0
+    a, b = 1.5, 0.5
+    ode = PowerCoefODE(a, 0, lambda x: math.exp(b * x), 0.0, 2.0)
+    for x in (0.1, 0.7, 1.3, 2.0):
+        phi = (math.exp(b * x) - math.exp(-a * x)) / (a + b)
+        y = math.exp(a * x) / (a + b) * (
+            (math.exp((b - a) * x) - 1) / (b - a) - (1 - math.exp(-2 * a * x)) / (2 * a))
+        got_phi, got_y = _closed_forms(ode, ode.forcing_callable(), x)
+        assert got_phi == pytest.approx(phi, rel=1e-12, abs=0)
+        assert got_y == pytest.approx(y, rel=1e-12, abs=0)
+    # a = 0, polynomial forcing: phi = x^3, y = x^4 / 4
+    ode = PowerCoefODE(0.0, 0, parse_forcing("3*x^2"), 0.0, 1.0)
+    for x in (0.25, 0.5, 1.0):
+        got_phi, got_y = _closed_forms(ode, ode.forcing_callable(), x)
+        assert got_phi == pytest.approx(x ** 3, rel=1e-12, abs=0)
+        assert got_y == pytest.approx(x ** 4 / 4, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("attr", ["phi", "y"])
+def test_cross_check_catches_perturbed_probe(attr):
+    ode = PowerCoefODE(1.0, 1, lambda x: math.exp(x * x / 2), 0.0, 1.0)
+    sol = solve_varcoef(ode, 1e-3, probe_points=5)
+    node = int(np.searchsorted(sol.xs, sol.probe_xs[2]))
+    getattr(sol, attr)[node] += 1e-4
+    with pytest.raises(StepTooLarge):
+        _cross_check(sol, ode, 5, 1e-6)
 
 
 def test_overflow_guard():
