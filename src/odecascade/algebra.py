@@ -11,6 +11,15 @@ differentiation, and closed under antidifferentiation except when a term has
 both a nonzero rate and a logarithm factor (or a negative power of t), in
 which case :class:`NotClosedForm` is raised.
 
+Antidifferentiation and the cascade's first-order stages share one kernel,
+:func:`solve_stage`, which solves phi' - r*phi = e one rate at a time: the
+part P(t) e^(lam t) of e gives Q(t) e^(lam t) with Q' + mu*Q = P,
+mu = lam - r.  The exact backend back-substitutes Q from the top power down
+(O(K) divisions for degree K).  The float backend keeps the
+integration-by-parts chain of each term (O(K^2)) and the rounding of the
+multiply-integrate-multiply route: the float residual test is scaled by the
+size of its inputs, so changed last bits would flip borderline verdicts.
+
 ``k`` may be negative so that differentiation never leaves the algebra
 (d/dt ln t = 1/t); the parser and the solvers only ever produce k >= 0.
 
@@ -27,6 +36,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 
 from .errors import DomainError, NotClosedForm, NotConjugateSymmetric
 from .scalars import GaussianRational, as_scalar, conj as _conj_scalar, is_exact
@@ -35,6 +46,8 @@ from .scalars import GaussianRational, as_scalar, conj as _conj_scalar, is_exact
 #: counts as zero when its magnitude is at most REL_EPS times the largest
 #: coefficient magnitude in the enclosing expression.
 REL_EPS = 1e-12
+
+_UNIT = complex(1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -73,18 +86,18 @@ def _sort_key(t: Term):
     return (lam.real, lam.imag, t.tpow, t.logpow)
 
 
+def _snap(lam: complex, tol: float) -> complex:
+    re = 0.0 if abs(lam.real) <= tol else lam.real
+    im = 0.0 if abs(lam.imag) <= tol else lam.imag
+    return complex(re, im)
+
+
 def _snap_exponents(terms, eps):
     """Float backend: zero out tiny rate components and merge rates that
     agree within tolerance, so resonant cancellations are recognized."""
     scale = max((abs(t.exponent) for t in terms), default=0.0)
     tol = eps * max(1.0, scale)
-
-    def snap(lam):
-        re = 0.0 if abs(lam.real) <= tol else lam.real
-        im = 0.0 if abs(lam.imag) <= tol else lam.imag
-        return complex(re, im)
-
-    terms = [Term(t.coeff, t.tpow, t.logpow, snap(t.exponent)) for t in terms]
+    terms = [Term(t.coeff, t.tpow, t.logpow, _snap(t.exponent, tol)) for t in terms]
 
     # Cluster near-identical rates onto a single representative.
     reps: list[complex] = []
@@ -287,27 +300,16 @@ def differentiate(e: Expr) -> Expr:
     return normalize(out)
 
 
-def _integrate_poly_exp(coeff, k: int, lam) -> list:
-    # int t^k e^(lam t) dt by repeated integration by parts, k >= 0, lam != 0.
-    out = []
-    c = coeff / lam
-    j = k
-    while True:
-        out.append(Term(c, j, 0, lam))
-        if j == 0:
-            break
-        c = -(c * j) / lam
-        j -= 1
-    return out
-
-
 def _integrate_poly_log(coeff, k: int, m: int) -> list:
-    # int t^k ln(t)^m dt, k != -1:  t^(k+1) ln^m / (k+1) - m/(k+1) * I(k, m-1).
+    # int t^k ln(t)^m dt as (coeff, tpow, logpow) triples.  k = -1 gives
+    # ln^(m+1) / (m+1); otherwise t^(k+1) ln^m / (k+1) - m/(k+1) * I(k, m-1).
+    if k == -1:
+        return [(coeff / (m + 1), 0, m + 1)]
     out = []
     c = coeff
     mm = m
     while True:
-        out.append(Term(c / (k + 1), k + 1, mm, 0))
+        out.append((c / (k + 1), k + 1, mm))
         if mm == 0:
             break
         c = -(c * mm) / (k + 1)
@@ -315,34 +317,114 @@ def _integrate_poly_log(coeff, k: int, m: int) -> list:
     return out
 
 
+def _parts_chain(coeff, k: int, mu) -> list:
+    # Q of int t^k e^(mu t) dt = Q e^(mu t) by repeated integration by parts,
+    # k >= 0, mu != 0, as (coeff, tpow) pairs from t^k down.  O(k) divisions
+    # per term, so O(K^2) for a degree-K group.
+    out = []
+    c = coeff / mu
+    j = k
+    while True:
+        out.append((c, j))
+        if j == 0:
+            break
+        c = -(c * j) / mu
+        j -= 1
+    return out
+
+
+def _back_substitute(p: dict, mu) -> dict:
+    # Q' + mu Q = P top down: q_j = (p_j - (j+1) q_{j+1}) / mu, mu != 0.
+    # One division per power, so O(K) for a degree-K group.
+    inv = 1 / mu
+    q = {}
+    carry = None  # (j+1) q_{j+1}
+    for j in range(max(p), -1, -1):
+        c = p.get(j)
+        if carry is not None:
+            c = -carry if c is None else c - carry
+        q[j] = c * inv
+        carry = q[j] * j
+    return q
+
+
+def solve_stage(r, e: Expr) -> Expr:
+    """Particular solution of phi' - r*phi = e, with no homogeneous part.
+
+    Per rate lam of e, the terms P(t) e^(lam t) give Q(t) e^(lam t) with
+    Q' + mu*Q = P, mu = lam - r.  At mu = 0 (resonance) Q is the
+    polynomial/log antiderivative of P.  Otherwise Q is back-substituted on
+    the exact backend and built by the integration-by-parts chain on floats
+    (see the module docstring); on floats mu is snapped among the shifted
+    rates as :func:`normalize` does, so resonance is found within
+    tolerance, and each output term has rate mu + r.  ``r = 0`` is
+    :func:`antiderivative`.
+
+    Raises :class:`NotClosedForm` when a term at mu != 0 has a log factor
+    or a negative power of t, naming those terms at their shifted rate mu.
+    """
+    r = as_scalar(r)
+    exact = is_exact(r) and e.is_exact()
+    by_rate = attrgetter("exponent")  # canonical terms are sorted by rate
+    if exact:
+        groups = [(lam, lam - r, list(terms)) for lam, terms in groupby(e.terms, by_rate)]
+    else:
+        # The float steps are those of multiplying by e^(-rt), integrating
+        # and multiplying by e^(rt): r snapped as a lone rate, mu snapped
+        # among the shifted rates, coefficients times the factors' unit
+        # coefficient 1+0j (which only settles the sign of a zero part).
+        r = _snap(complex(r), REL_EPS * max(1.0, abs(r)))
+        shifted = _canonicalize([
+            Term(_UNIT * t.coeff, t.tpow, t.logpow, complex(t.exponent) - r)
+            for t in e.terms
+        ])
+        groups = [(mu + r, mu, list(terms)) for mu, terms in groupby(shifted, by_rate)]
+
+    out = []
+    offending = []
+    for rate, mu, terms in groups:
+        escaping = [t for t in terms if t.logpow > 0 or t.tpow < 0]
+        if mu and escaping:
+            offending.extend(Term(t.coeff, t.tpow, t.logpow, mu) for t in escaping)
+            continue
+        if not mu:
+            parts = [piece for t in terms
+                     for piece in _integrate_poly_log(t.coeff, t.tpow, t.logpow)]
+        elif exact:
+            q = _back_substitute({t.tpow: t.coeff for t in terms}, mu)
+            parts = [(c, j, 0) for j, c in q.items()]
+        else:
+            parts = [(c, j, 0) for t in terms
+                     for c, j in _parts_chain(t.coeff, t.tpow, mu)]
+        merged: dict = {}
+        for c, k, m in parts:
+            merged[k, m] = merged[k, m] + c if (k, m) in merged else c
+        out.extend(Term(c if exact else _UNIT * c, k, m, rate)
+                   for (k, m), c in merged.items())
+
+    if offending:
+        names = ", ".join(
+            f"t^{t.tpow}*ln^{t.logpow}(t)*e^({t.exponent}t)" for t in offending
+        )
+        raise NotClosedForm(
+            f"no closed-form antiderivative for: {names}", terms=offending
+        )
+    return normalize(out)
+
+
 def antiderivative(e: Expr) -> Expr:
     """One antiderivative with no constant of integration.
 
+    This is :func:`solve_stage` at r = 0: each rate lam != 0 is solved as
+    Q' + lam*Q = P, back-substituted on the exact backend and by the
+    integration-by-parts chain on floats (whose rounding the float residual
+    verdicts depend on); rate 0 takes the polynomial/log antiderivative.
     Integrating a nonconstant term never produces a constant term; the
     constant c itself integrates to c*t.  Raises :class:`NotClosedForm` when
     a term has a nonzero rate together with a log factor or a negative power
     of t (the result would need exponential-integral functions).
     """
-    out = []
-    offending = []
-    for t in e.terms:
-        if t.exponent:
-            if t.logpow > 0 or t.tpow < 0:
-                offending.append(t)
-            else:
-                out.extend(_integrate_poly_exp(t.coeff, t.tpow, t.exponent))
-        elif t.tpow == -1:
-            out.append(Term(t.coeff / (t.logpow + 1), 0, t.logpow + 1, 0))
-        else:
-            out.extend(_integrate_poly_log(t.coeff, t.tpow, t.logpow))
-    if offending:
-        parts = ", ".join(
-            f"t^{t.tpow}*ln^{t.logpow}(t)*e^({t.exponent}t)" for t in offending
-        )
-        raise NotClosedForm(
-            f"no closed-form antiderivative for: {parts}", terms=offending
-        )
-    return normalize(out)
+    return solve_stage(0, e)
 
 
 def evaluate(e, t: float):
@@ -543,9 +625,12 @@ def realify(e: Expr, eps: float = REL_EPS) -> RealExpr:
     real coefficients.  Raises :class:`NotConjugateSymmetric` otherwise.
     """
     exact = e.is_exact()
-    coeff_scale = max(e.max_coeff_mag(), 1.0)
-    rate_scale = max((abs(t.exponent) for t in e.terms), default=0.0)
-    rate_tol = eps * max(1.0, rate_scale)
+    if not exact:
+        # Float tolerances only: an exact path compares exactly and never
+        # converts a coefficient to float (10^400 would overflow).
+        coeff_scale = max(e.max_coeff_mag(), 1.0)
+        rate_scale = max((abs(t.exponent) for t in e.terms), default=0.0)
+        rate_tol = eps * max(1.0, rate_scale)
 
     def im_of(lam):
         return lam.im if isinstance(lam, GaussianRational) else lam.imag

@@ -7,8 +7,13 @@ applies the integrating-factor formula
     phi(t) = e^(r t) * integral( e^(-r t) * g(t) dt )
 
 with the constant of integration omitted, so the output is one specific
-particular solution.  Resonant forcings need no special casing: when a
-forcing rate equals the stage root the shifted integrand has rate zero and
+particular solution.  The stage is computed per forcing rate lam
+(:func:`odecascade.algebra.solve_stage`): the part P(t) e^(lam t) of g
+gives Q(t) e^(lam t) with Q' + (lam - r) Q = P,
+back-substituted from the top power down on the exact backend, while the
+float backend keeps the integration-by-parts chain so its rounding, and the
+float residual verdicts, stay as they were.  Resonant forcings need no
+special casing: when a forcing rate equals the stage root, lam - r = 0 and
 the antiderivative simply gains a power of t.
 """
 
@@ -18,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Expr, RealExpr, exponential, multiply, realify, scale
+from .algebra import Expr, RealExpr, realify, scale, solve_stage
 from .errors import NotClosedForm, NotConjugateSymmetric, VerificationFailed
 from .model import LinearODE
 from .roots import characteristic, find_roots
@@ -52,11 +57,8 @@ class CascadeTrace:
 
 
 def solve_first_order(r, g: Expr) -> Expr:
-    """Particular solution of phi' - r*phi = g by the integrating factor."""
-    r = as_scalar(r)
-    shifted = multiply(exponential(-r), g)
-    anti = shifted.integrate()
-    return multiply(exponential(r), anti)
+    """Particular solution of phi' - r*phi = g (see :func:`solve_stage`)."""
+    return solve_stage(r, g)
 
 
 def _roots_conjugate_closed(seq) -> bool:

@@ -45,11 +45,16 @@ def apply_operator(ode: LinearODE, y: Expr) -> Expr:
     return out
 
 
-def _zero_verdict(diff: Expr, exact: bool, scale_ref: float,
+def _zero_verdict(diff: Expr, exact: bool, refs: tuple,
                   eps: float) -> tuple[bool, str]:
+    """Exact differences must vanish; float ones within eps of the largest
+    coefficient of ``refs``.  The float scale is computed on the float
+    branch only, so an exact path never converts a coefficient to float
+    (10^400 would overflow)."""
     if exact and diff.is_exact():
         return (diff.is_zero, STATUS_EXACT_ZERO if diff.is_zero else STATUS_NONZERO)
-    ok = all(abs(t.coeff) <= eps * max(scale_ref, 1.0) for t in diff.terms)
+    scale_ref = max(max(ref.max_coeff_mag() for ref in refs), 1.0)
+    ok = all(abs(t.coeff) <= eps * scale_ref for t in diff.terms)
     return (ok, STATUS_ZERO_TOL if ok else STATUS_NONZERO)
 
 
@@ -63,8 +68,7 @@ def residual_symbolic(ode: LinearODE, y_p: Expr, eps: float = REL_EPS) -> Residu
     applied = apply_operator(ode, y_p)
     diff = applied - ode.forcing
     exact = applied.is_exact() and ode.forcing.is_exact()
-    scale_ref = max(applied.max_coeff_mag(), ode.forcing.max_coeff_mag())
-    is_zero, status = _zero_verdict(diff, exact, scale_ref, eps)
+    is_zero, status = _zero_verdict(diff, exact, (applied, ode.forcing), eps)
     return Residual(diff, is_zero, status)
 
 
@@ -76,8 +80,7 @@ def equal_mod_homogeneous(ode: LinearODE, y1: Expr, y2: Expr,
     applied2 = apply_operator(ode, y2)
     diff = applied1 - applied2
     exact = applied1.is_exact() and applied2.is_exact()
-    scale_ref = max(applied1.max_coeff_mag(), applied2.max_coeff_mag())
-    is_zero, _ = _zero_verdict(diff, exact, scale_ref, eps)
+    is_zero, _ = _zero_verdict(diff, exact, (applied1, applied2), eps)
     return is_zero
 
 

@@ -14,6 +14,7 @@ from odecascade import (
     equal_mod_homogeneous,
     multiply,
     normalize,
+    oracle_undetermined_coefficients,
     parse_forcing,
     parse_ode,
     particular_solution,
@@ -214,6 +215,16 @@ def test_pipeline_float_fallback_for_irrational_roots():
     assert trace.y_p.to_float().approx_equal(
         normalize([term(-1.0, 0, 0, 1.0)]), 1e-9
     )
+
+
+@pytest.mark.parametrize("k", [100, 171])
+def test_pipeline_high_degree_stays_exact(k):
+    # the stage coefficients reach ~k!, past float range at k = 171
+    ode = parse_ode(f"y'' + y = -7/3*t^{k}")
+    _, trace = particular_solution(ode)
+    assert residual_symbolic(ode, trace.y_p).status == "exact-zero"
+    oracle = oracle_undetermined_coefficients(ode, ode.forcing)
+    assert equal_mod_homogeneous(ode, trace.y_p, oracle)
 
 
 def test_pipeline_leading_coefficient_scaling():

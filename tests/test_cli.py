@@ -54,6 +54,16 @@ def test_solve_not_closed_form_exit_3(runner):
     assert "stage 1" in result.stderr
 
 
+@pytest.mark.parametrize("text", ["y'' - y = 1e400", "y'' + y = t^171"])
+def test_solve_exact_never_converts_to_float(runner, text):
+    # 10^400 and the t^171 coefficients (~171!) overflow a float; the exact
+    # path must not compute a float scale from them.
+    result = runner.invoke(main, ["solve", text])
+    assert result.exit_code == 0, result.exception
+    assert "residual:       exact-zero" in result.output
+    assert "Traceback" not in result.output + result.stderr
+
+
 def test_solve_float_flag(runner):
     result = runner.invoke(main, ["solve", "y''-4y'+4y = t^3*exp(2t)", "--float"])
     assert result.exit_code == 0
