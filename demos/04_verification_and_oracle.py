@@ -52,6 +52,6 @@ try:
     oracle_undetermined_coefficients(ode_log, ode_log.forcing)
 except LogForcingUnsupported as exc:
     print(f"  oracle: {exc}")
-y_log, _ = particular_solution(ode_log)
+y_log, trace_log = particular_solution(ode_log)
 print(f"  cascade: y_p = {render(y_log)}")
-print(f"  residual: {residual_symbolic(ode_log, y_log).status}")
+print(f"  residual: {residual_symbolic(ode_log, trace_log.y_p).status}")

@@ -39,7 +39,7 @@ from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
 
-from .errors import DomainError, NotClosedForm, NotConjugateSymmetric
+from .errors import DomainError, NotClosedForm, NotConjugateSymmetric, OverflowGuard
 from .scalars import GaussianRational, as_scalar, conj as _conj_scalar, is_exact
 
 #: Relative tolerance of the approximate backend's zero test.  A coefficient
@@ -431,15 +431,19 @@ def evaluate(e, t: float):
     """Numeric value at t.  Expr gives a complex, RealExpr a float.
 
     Raises :class:`DomainError` at t <= 0 when log terms are present and at
-    t = 0 when negative powers are present.
+    t = 0 when negative powers are present, and :class:`OverflowGuard` when a
+    coefficient or a term's value is beyond double precision.
     """
-    if isinstance(e, RealExpr):
-        return _evaluate_real(e, t)
-    total = 0j
-    for term in e.terms:
-        total += complex(term.coeff) * _basis_value(term.tpow, term.logpow, t) \
-            * cmath.exp(complex(term.exponent) * t)
-    return total
+    try:
+        if isinstance(e, RealExpr):
+            return _evaluate_real(e, t)
+        total = 0j
+        for term in e.terms:
+            total += complex(term.coeff) * _basis_value(term.tpow, term.logpow, t) \
+                * cmath.exp(complex(term.exponent) * t)
+        return total
+    except OverflowError as exc:
+        raise OverflowGuard(f"value at t={t} overflows double precision: {exc}") from exc
 
 
 def _basis_value(k: int, m: int, t: float) -> float:
@@ -528,7 +532,7 @@ class RealExpr:
         return f"RealExpr[{bits}]"
 
     def eval(self, t: float) -> float:
-        return _evaluate_real(self, t)
+        return evaluate(self, t)
 
     def to_expr(self) -> Expr:
         """Embed back into the complex-exponential algebra."""

@@ -20,7 +20,7 @@ the antiderivative simply gains a power of t.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import Expr, RealExpr, realify, scale, solve_stage
@@ -47,13 +47,19 @@ class CascadeTrace:
     forcing divided by the leading coefficient.  ``y_p`` is the final
     particular solution (conjugate-symmetrized for real problems, which can
     only change it by a homogeneous solution); ``y_p_real`` is its real form
-    when the problem is real.
+    when the problem is real.  ``roots`` (the characteristic
+    :class:`~odecascade.roots.RootSet`) and ``residual`` (the
+    :class:`~odecascade.verify.Residual` of ``y_p``) are filled in by
+    :func:`particular_solution`; they are None on a trace from
+    :func:`cascade` alone.
     """
 
     stages: tuple
     leading_coeff: object
     y_p: Expr
     y_p_real: RealExpr | None
+    roots: object = None
+    residual: object = None
 
 
 def solve_first_order(r, g: Expr) -> Expr:
@@ -121,29 +127,28 @@ def particular_solution(ode: LinearODE):
     """End-to-end pipeline: characteristic -> roots -> cascade -> realify.
 
     Returns ``(solution, trace)`` where the solution is the real form when
-    the problem admits one, otherwise the complex-exponential form.  The
+    the problem admits one, otherwise the complex-exponential form; the
+    trace carries the roots and the residual computed on the way.  The
     result is checked against the equation before returning; a nonzero
     residual raises :class:`VerificationFailed` (internal bug guard).
     """
     from .verify import residual_symbolic
 
-    poly = characteristic(ode)
-    rootset = find_roots(poly)
+    rootset = find_roots(characteristic(ode))
     q = ode.forcing
     a_n = ode.coeffs[-1]
     if not rootset.all_exact() or not q.is_exact():
         q = q.to_float()
         a_n = float(a_n)
         seq = tuple(complex(r) for r in rootset.expand())
-        check_ode = ode.to_float()
     else:
         seq = rootset.expand()
-        check_ode = ode
     trace = cascade(seq, q, a_n)
-    res = residual_symbolic(check_ode, trace.y_p)
+    res = residual_symbolic(ode, trace.y_p)
     if not res.is_zero:
         raise VerificationFailed(
             f"cascade result failed the residual check: {res.expr!r}"
         )
+    trace = replace(trace, roots=rootset, residual=res)
     solution = trace.y_p_real if trace.y_p_real is not None else trace.y_p
     return solution, trace

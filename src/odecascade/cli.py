@@ -17,7 +17,7 @@ from fractions import Fraction
 import click
 
 from . import __version__
-from .algebra import Expr, RealExpr, evaluate
+from .algebra import Expr, RealTerm, evaluate
 from .cascade import particular_solution
 from .errors import (
     NonConvergence,
@@ -30,6 +30,8 @@ from .errors import (
 )
 from .model import LinearODE
 from .parsing import (
+    _digit_limit,
+    _render_terms,
     expr_to_json_terms,
     parse_numeric_function,
     parse_ode,
@@ -62,12 +64,16 @@ def _fail(message: str, code: int):
     sys.exit(code)
 
 
+def _fail_parse(exc: ParseError):
+    span = f" at {exc.span.start}..{exc.span.end}" if exc.span else ""
+    _fail(f"{exc}{span}", EXIT_PARSE)
+
+
 def _parse_ode_or_exit(text: str) -> LinearODE:
     try:
         return parse_ode(text)
     except ParseError as exc:
-        span = f" at {exc.span.start}..{exc.span.end}" if exc.span else ""
-        _fail(f"{exc}{span}", EXIT_PARSE)
+        _fail_parse(exc)
     except ValueError as exc:
         _fail(str(exc), EXIT_PARSE)
 
@@ -76,6 +82,18 @@ def _coeff_json(c):
     if isinstance(c, Fraction):
         return [c.numerator, c.denominator]
     return float(c)
+
+
+def _roots_json(rootset) -> list:
+    return [
+        {
+            "re": complex(e.value).real,
+            "im": complex(e.value).imag,
+            "mult": e.multiplicity,
+            "exact": e.exact,
+        }
+        for e in rootset.entries
+    ]
 
 
 def _root_str(value) -> str:
@@ -105,26 +123,33 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 
 
 def _poly_str(coeffs) -> str:
-    parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if not c:
-            continue
-        if k == 0:
-            body = f"{abs(c)}"
-        elif k == 1:
-            body = "r" if abs(c) == 1 else f"{abs(c)}*r"
-        else:
-            body = f"r^{k}" if abs(c) == 1 else f"{abs(c)}*r^{k}"
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, body))
-    if not parts:
-        return "0"
-    first_sign, first_body = parts[0]
-    out = [first_body if first_sign == "+" else f"-{first_body}"]
-    for sign, body in parts[1:]:
-        out.append(f" {sign} {body}")
-    return "".join(out)
+    """The characteristic polynomial in r, highest power first."""
+    terms = [RealTerm(c, k) for k, c in reversed(list(enumerate(coeffs))) if c]
+    return _render_terms(terms, "plain", "r")
+
+
+def _solve_report(ode_text, ode, trace, as_latex, show_steps, elapsed) -> str:
+    style = "latex" if as_latex else "plain"
+    var = ode.var
+    roots_bits = ", ".join(
+        f"{_root_str(e.value)} (mult {e.multiplicity}, "
+        f"{'exact' if e.exact else 'approx'})"
+        for e in trace.roots.entries
+    )
+    lines = [
+        f"ode:            {ode_text}",
+        f"characteristic: {_poly_str(ode.coeffs)}",
+        f"roots:          {roots_bits}",
+    ]
+    if show_steps:
+        lines.append("derivation:")
+        lines.extend(f"  {line}" for line in render(trace, style, var).splitlines())
+    if trace.y_p_real is not None:
+        lines.append(f"y_p (real):     {render(trace.y_p_real, style, var)}")
+    lines.append(f"y_p (complex):  {render(trace.y_p, style, var)}")
+    lines.append(f"residual:       {trace.residual.status}")
+    lines.append(f"time:           {elapsed:.4f} s")
+    return "\n".join(lines)
 
 
 @click.group()
@@ -154,7 +179,7 @@ def solve(ode_text, as_json, as_latex, show_steps, force_exact, force_float):
     try:
         if force_exact:
             find_roots(characteristic(ode), method="exact")
-        solution, trace = particular_solution(ode)
+        _, trace = particular_solution(ode)
     except NotClosedForm as exc:
         _fail(str(exc), EXIT_NOT_CLOSED_FORM)
     except VerificationFailed as exc:
@@ -163,59 +188,30 @@ def solve(ode_text, as_json, as_latex, show_steps, force_exact, force_float):
         _fail(str(exc), 1)
     elapsed = time.perf_counter() - t0
 
-    rootset = find_roots(characteristic(ode))
-    residual = residual_symbolic(
-        ode if ode.is_exact() and trace.y_p.is_exact() else ode.to_float(),
-        trace.y_p,
-    )
-    if residual.status == STATUS_NONZERO:
-        _fail("residual is nonzero (internal error)", EXIT_NONZERO_RESIDUAL)
-
-    style = "latex" if as_latex else "plain"
-    if as_json:
-        payload = {
-            "ode": {
-                "coeffs": [_coeff_json(c) for c in ode.coeffs],
-                "forcing": expr_to_json_terms(ode.forcing),
-            },
-            "roots": [
-                {
-                    "re": complex(e.value).real,
-                    "im": complex(e.value).imag,
-                    "mult": e.multiplicity,
-                    "exact": e.exact,
-                }
-                for e in rootset.entries
-            ],
-            "y_p": {
-                "real_terms": realexpr_to_json_terms(trace.y_p_real)
-                if trace.y_p_real is not None else [],
-                "complex_terms": expr_to_json_terms(trace.y_p),
-            },
-            "residual": _STATUS_JSON[residual.status],
-            "trace": trace_to_json(trace) if show_steps else [],
-        }
-        click.echo(json.dumps(payload))
-        return
-
-    var = ode.var
-    click.echo(f"ode:            {ode_text}")
-    click.echo(f"characteristic: {_poly_str(ode.coeffs)}")
-    roots_bits = ", ".join(
-        f"{_root_str(e.value)} (mult {e.multiplicity}, "
-        f"{'exact' if e.exact else 'approx'})"
-        for e in rootset.entries
-    )
-    click.echo(f"roots:          {roots_bits}")
-    if show_steps:
-        click.echo("derivation:")
-        for line in render(trace, style, var).splitlines():
-            click.echo(f"  {line}")
-    if trace.y_p_real is not None:
-        click.echo(f"y_p (real):     {render(trace.y_p_real, style, var)}")
-    click.echo(f"y_p (complex):  {render(trace.y_p, style, var)}")
-    click.echo(f"residual:       {residual.status}")
-    click.echo(f"time:           {elapsed:.4f} s")
+    # The whole report is built before any of it is printed, so a result
+    # too large to print gives one error line and no partial report.
+    try:
+        with _digit_limit():
+            if as_json:
+                report = json.dumps({
+                    "ode": {
+                        "coeffs": [_coeff_json(c) for c in ode.coeffs],
+                        "forcing": expr_to_json_terms(ode.forcing),
+                    },
+                    "roots": _roots_json(trace.roots),
+                    "y_p": {
+                        "real_terms": realexpr_to_json_terms(trace.y_p_real)
+                        if trace.y_p_real is not None else [],
+                        "complex_terms": expr_to_json_terms(trace.y_p),
+                    },
+                    "residual": _STATUS_JSON[trace.residual.status],
+                    "trace": trace_to_json(trace) if show_steps else [],
+                })
+            else:
+                report = _solve_report(ode_text, ode, trace, as_latex, show_steps, elapsed)
+    except OverflowGuard as exc:
+        _fail(str(exc), 1)
+    click.echo(report)
 
 
 @main.command()
@@ -229,15 +225,7 @@ def roots(ode_text, as_json):
     except OdeCascadeError as exc:
         _fail(str(exc), 1)
     if as_json:
-        click.echo(json.dumps([
-            {
-                "re": complex(e.value).real,
-                "im": complex(e.value).imag,
-                "mult": e.multiplicity,
-                "exact": e.exact,
-            }
-            for e in rootset.entries
-        ]))
+        click.echo(json.dumps(_roots_json(rootset)))
         return
     click.echo(f"characteristic: {_poly_str(ode.coeffs)}")
     click.echo("root                          mult  exact")
@@ -255,12 +243,8 @@ def verify(ode_text, candidate_text, as_json):
     try:
         candidate = parse_forcing(candidate_text)
     except ParseError as exc:
-        span = f" at {exc.span.start}..{exc.span.end}" if exc.span else ""
-        _fail(f"{exc}{span}", EXIT_PARSE)
-    residual = residual_symbolic(
-        ode if ode.is_exact() and candidate.is_exact() else ode.to_float(),
-        candidate,
-    )
+        _fail_parse(exc)
+    residual = residual_symbolic(ode, candidate)
     if as_json:
         click.echo(json.dumps({
             "residual": _STATUS_JSON[residual.status],
@@ -320,8 +304,7 @@ def varcoef(a, n, forcing_text, x0, x1, step):
     try:
         forcing, _ = parse_numeric_function(forcing_text)
     except ParseError as exc:
-        span = f" at {exc.span.start}..{exc.span.end}" if exc.span else ""
-        _fail(f"{exc}{span}", EXIT_PARSE)
+        _fail_parse(exc)
     try:
         ode = PowerCoefODE(a, n, forcing, x0, x1)
         sol = solve_varcoef(ode, step)

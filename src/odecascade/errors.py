@@ -71,7 +71,13 @@ class StepTooLarge(OdeCascadeError):
 
 
 class OverflowGuard(OdeCascadeError):
-    """Integrating-factor exponent would overflow double precision on the domain."""
+    """A value beyond what a float or a printed string can hold.
+
+    Raised when an integrating-factor exponent would overflow double
+    precision on the domain, when numeric evaluation meets a coefficient or
+    value outside the double range, and when a result has an integer with
+    more digits than Python converts to text.
+    """
 
 
 class LogForcingUnsupported(OdeCascadeError):

@@ -17,6 +17,7 @@ between a literal and a power of the variable ("5t", "2t^3").
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,7 +35,12 @@ from .algebra import (
     scale,
     term as make_term,
 )
-from .errors import NotLinearConstantCoefficient, ParseError, UnsupportedFunction
+from .errors import (
+    NotLinearConstantCoefficient,
+    OverflowGuard,
+    ParseError,
+    UnsupportedFunction,
+)
 from .model import LinearODE
 from .scalars import GaussianRational
 
@@ -645,50 +651,56 @@ def parse_numeric_function(text: str):
 # rendering
 # ---------------------------------------------------------------------------
 
-def _frac_str(f: Fraction) -> str:
-    return str(f)
-
-
-def _float_str(v: float) -> str:
-    return repr(v)
-
-
 def _scalar_plain(s) -> str:
     """Parseable rendering of a scalar; complex values get parentheses."""
-    if isinstance(s, (int, Fraction)):
-        s = GaussianRational(s)
     if isinstance(s, GaussianRational):
         if not s.im:
-            return _frac_str(s.re)
+            return str(s.re)
         if not s.re:
             if s.im == 1:
                 return "i"
             if s.im == -1:
                 return "-i"
-            return f"{_frac_str(s.im)}*i"
+            return f"{s.im}*i"
         op = "+" if s.im > 0 else "-"
         imag = abs(s.im)
-        imag_str = "i" if imag == 1 else f"{_frac_str(imag)}*i"
-        return f"({_frac_str(s.re)}{op}{imag_str})"
+        imag_str = "i" if imag == 1 else f"{imag}*i"
+        return f"({s.re}{op}{imag_str})"
+    if isinstance(s, (int, Fraction)):
+        return str(s)
     c = complex(s)
     if c.imag == 0:
-        return _float_str(c.real)
+        return repr(c.real)
     if c.real == 0:
-        return f"{_float_str(c.imag)}*i"
+        return f"{c.imag!r}*i"
     op = "+" if c.imag >= 0 else "-"
-    return f"({_float_str(c.real)}{op}{_float_str(abs(c.imag))}*i)"
+    return f"({c.real!r}{op}{abs(c.imag)!r}*i)"
 
 
 def _scalar_sign_mag(s):
-    """Split a scalar into a printable sign and magnitude when it is real."""
+    """Split a scalar into a printable sign and magnitude when it is real.
+
+    Exact reals stay exact: -1/2 splits into (-1, 1/2), never into a float.
+    """
     if isinstance(s, GaussianRational):
-        if not s.im and s.re < 0:
-            return -1, -s
-        return 1, s
+        return (-1, -s) if not s.im and s.re < 0 else (1, s)
+    if isinstance(s, (int, Fraction)):
+        return (-1, -s) if s < 0 else (1, s)
     c = complex(s)
-    if c.imag == 0 and c.real < 0:
-        return -1, -c
-    return 1, s
+    return (-1, -c) if c.imag == 0 and c.real < 0 else (1, s)
+
+
+def _split_term(t):
+    """(sign, coeff, tpow, logpow, rate, trig) of a Term or RealTerm.
+
+    ``coeff`` is the magnitude when the coefficient is real; ``trig`` is
+    ``(kind, beta)`` for a real term with beta != 0, otherwise None.
+    """
+    sign, coeff = _scalar_sign_mag(t.coeff)
+    if isinstance(t, RealTerm):
+        trig = (t.kind, t.beta) if t.beta else None
+        return sign, coeff, t.tpow, t.logpow, t.alpha, trig
+    return sign, coeff, t.tpow, t.logpow, t.exponent, None
 
 
 def _rate_times_var_plain(rate, var: str) -> str:
@@ -699,59 +711,27 @@ def _rate_times_var_plain(rate, var: str) -> str:
     return f"{_scalar_plain(rate)}*{var}"
 
 
-def _real_scalar_plain(v) -> str:
-    if isinstance(v, (int, Fraction)):
-        return _frac_str(Fraction(v))
-    return _float_str(float(v))
-
-
-def _plain_expr_term(t: Term, var: str):
-    sign, coeff = _scalar_sign_mag(t.coeff)
+def _plain_term(sign, coeff, tpow, logpow, rate, trig, var: str):
     pieces = []
-    if t.tpow == 1:
+    if tpow == 1:
         pieces.append(var)
-    elif t.tpow != 0:
-        pieces.append(f"{var}^{t.tpow}" if t.tpow > 0 else f"{var}^({t.tpow})")
-    if t.logpow == 1:
+    elif tpow != 0:
+        pieces.append(f"{var}^{tpow}" if tpow > 0 else f"{var}^({tpow})")
+    if logpow == 1:
         pieces.append(f"ln({var})")
-    elif t.logpow > 1:
-        pieces.append(f"ln({var})^{t.logpow}")
-    if t.exponent:
-        pieces.append(f"exp({_rate_times_var_plain(t.exponent, var)})")
+    elif logpow > 1:
+        pieces.append(f"ln({var})^{logpow}")
+    if rate:
+        pieces.append(f"exp({_rate_times_var_plain(rate, var)})")
+    if trig:
+        kind, beta = trig
+        arg = var if beta == 1 else f"{_scalar_plain(beta)}*{var}"
+        pieces.append(f"{kind}({arg})")
     if not pieces:
         return sign, _scalar_plain(coeff)
     if coeff == 1:
         return sign, "*".join(pieces)
     return sign, "*".join([_scalar_plain(coeff)] + pieces)
-
-
-def _plain_real_term(t: RealTerm, var: str):
-    coeff = t.coeff
-    sign = 1
-    if isinstance(coeff, (int, Fraction)):
-        if coeff < 0:
-            sign, coeff = -1, -coeff
-    elif coeff < 0:
-        sign, coeff = -1, -coeff
-    pieces = []
-    if t.tpow == 1:
-        pieces.append(var)
-    elif t.tpow != 0:
-        pieces.append(f"{var}^{t.tpow}" if t.tpow > 0 else f"{var}^({t.tpow})")
-    if t.logpow == 1:
-        pieces.append(f"ln({var})")
-    elif t.logpow > 1:
-        pieces.append(f"ln({var})^{t.logpow}")
-    if t.alpha:
-        pieces.append(f"exp({_rate_times_var_plain(t.alpha, var)})")
-    if t.beta:
-        arg = var if t.beta == 1 else f"{_real_scalar_plain(t.beta)}*{var}"
-        pieces.append(f"{t.kind}({arg})")
-    if not pieces:
-        return sign, _real_scalar_plain(coeff)
-    if coeff == 1:
-        return sign, "*".join(pieces)
-    return sign, "*".join([_real_scalar_plain(coeff)] + pieces)
 
 
 def _join_signed(parts) -> str:
@@ -766,12 +746,10 @@ def _join_signed(parts) -> str:
     return "".join(out)
 
 
-def _plain(obj, var: str) -> str:
-    if isinstance(obj, Expr):
-        return _join_signed([_plain_expr_term(t, var) for t in obj.terms])
-    if isinstance(obj, RealExpr):
-        return _join_signed([_plain_real_term(t, var) for t in obj.terms])
-    raise TypeError(f"cannot render {type(obj).__name__}")
+def _render_terms(terms, style: str, var: str) -> str:
+    """Signed sum of Terms or RealTerms in the "plain" or "latex" style."""
+    fmt = _plain_term if style == "plain" else _latex_term
+    return _join_signed([fmt(*_split_term(t), var) for t in terms])
 
 
 # -- latex -------------------------------------------------------------------
@@ -783,15 +761,7 @@ def _frac_latex(f: Fraction) -> str:
         if f.numerator >= 0 else f"-\\frac{{{abs(f.numerator)}}}{{{f.denominator}}}"
 
 
-def _real_scalar_latex(v) -> str:
-    if isinstance(v, (int, Fraction)):
-        return _frac_latex(Fraction(v))
-    return _float_str(float(v))
-
-
 def _scalar_latex(s) -> str:
-    if isinstance(s, (int, Fraction)):
-        s = GaussianRational(s)
     if isinstance(s, GaussianRational):
         if not s.im:
             return _frac_latex(s.re)
@@ -806,10 +776,12 @@ def _scalar_latex(s) -> str:
             return im_part
         joiner = "+" if not im_part.startswith("-") else ""
         return f"({re_part}{joiner}{im_part})"
+    if isinstance(s, (int, Fraction)):
+        return _frac_latex(s)
     c = complex(s)
     if c.imag == 0:
-        return _float_str(c.real)
-    return f"({_float_str(c.real)}{'+' if c.imag >= 0 else '-'}{_float_str(abs(c.imag))}i)"
+        return repr(c.real)
+    return f"({c.real!r}{'+' if c.imag >= 0 else '-'}{abs(c.imag)!r}i)"
 
 
 def _power_latex(base: str, k: int) -> str:
@@ -832,54 +804,24 @@ def _exp_latex(rate, var: str) -> str:
     return f"e^{var}" if body == var else f"e^{{{body}}}"
 
 
-def _latex_pieces(coeff_str, tpow, logpow, exp_part, trig_part, var):
+def _latex_term(sign, coeff, tpow, logpow, rate, trig, var: str):
     pieces = []
-    if tpow == 1:
-        pieces.append(var)
-    elif tpow != 0:
+    if tpow:
         pieces.append(_power_latex(var, tpow))
     if logpow == 1:
         pieces.append(f"\\ln({var})")
     elif logpow > 1:
         pieces.append(f"\\ln^{logpow}({var})")
-    if exp_part:
-        pieces.append(exp_part)
-    if trig_part:
-        pieces.append(trig_part)
-    if not pieces:
-        return coeff_str if coeff_str else "1"
-    joined = "".join(pieces)
-    return joined if not coeff_str else coeff_str + joined
-
-
-def _latex_expr_term(t: Term, var: str):
-    sign, coeff = _scalar_sign_mag(t.coeff)
-    exp_part = _exp_latex(t.exponent, var) if t.exponent else ""
+    if rate:
+        pieces.append(_exp_latex(rate, var))
+    if trig:
+        kind, beta = trig
+        fn = "\\cos" if kind == COS else "\\sin"
+        pieces.append(f"{fn} {var}" if beta == 1 else f"{fn}({_scalar_latex(beta)}{var})")
     coeff_str = "" if coeff == 1 else _scalar_latex(coeff)
-    return sign, _latex_pieces(coeff_str, t.tpow, t.logpow, exp_part, "", var)
-
-
-def _latex_real_term(t: RealTerm, var: str):
-    coeff = t.coeff
-    sign = 1
-    if coeff < 0:
-        sign, coeff = -1, -coeff
-    exp_part = _exp_latex(t.alpha, var) if t.alpha else ""
-    if t.beta:
-        fn = "\\cos" if t.kind == COS else "\\sin"
-        trig = f"{fn} {var}" if t.beta == 1 else f"{fn}({_real_scalar_latex(t.beta)}{var})"
-    else:
-        trig = ""
-    coeff_str = "" if coeff == 1 else _real_scalar_latex(coeff)
-    return sign, _latex_pieces(coeff_str, t.tpow, t.logpow, exp_part, trig, var)
-
-
-def _latex(obj, var: str) -> str:
-    if isinstance(obj, Expr):
-        return _join_signed([_latex_expr_term(t, var) for t in obj.terms])
-    if isinstance(obj, RealExpr):
-        return _join_signed([_latex_real_term(t, var) for t in obj.terms])
-    raise TypeError(f"cannot render {type(obj).__name__}")
+    if not pieces:
+        return sign, coeff_str or "1"
+    return sign, coeff_str + "".join(pieces)
 
 
 # -- json --------------------------------------------------------------------
@@ -961,21 +903,37 @@ def render(obj, style: str = "plain", var: str = "t") -> str:
     """Deterministic text for an Expr, RealExpr or CascadeTrace.
 
     ``style`` is one of "plain" (parseable by :func:`parse_forcing`),
-    "latex", or "json" (the term-list schema used by the CLI).
+    "latex", or "json" (the term-list schema used by the CLI).  Raises
+    :class:`OverflowGuard` when a coefficient has more digits than Python
+    converts to text.
     """
     from .cascade import CascadeTrace  # local import to avoid a cycle
 
     if style not in ("plain", "latex", "json"):
         raise ValueError(f"unknown style {style!r}")
-    if isinstance(obj, CascadeTrace):
-        return _render_trace(obj, style, var)
-    if style == "plain":
-        return _plain(obj, var)
-    if style == "latex":
-        return _latex(obj, var)
-    if isinstance(obj, Expr):
-        return json.dumps(expr_to_json_terms(obj))
-    return json.dumps(realexpr_to_json_terms(obj))
+    with _digit_limit():
+        if isinstance(obj, CascadeTrace):
+            return _render_trace(obj, style, var)
+        if style == "json":
+            if isinstance(obj, Expr):
+                return json.dumps(expr_to_json_terms(obj))
+            return json.dumps(realexpr_to_json_terms(obj))
+        if not isinstance(obj, (Expr, RealExpr)):
+            raise TypeError(f"cannot render {type(obj).__name__}")
+        return _render_terms(obj.terms, style, var)
+
+
+@contextmanager
+def _digit_limit():
+    """Re-raise Python's int-to-str digit limit (a ValueError from ``str``,
+    ``repr`` or ``json.dumps`` of a huge integer) as :class:`OverflowGuard`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise OverflowGuard(
+            "result too large to print: an integer has more digits than "
+            "Python converts to text (see PYTHONINTMAXSTRDIGITS)"
+        ) from exc
 
 
 def trace_to_json(trace) -> list:

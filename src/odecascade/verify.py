@@ -61,10 +61,14 @@ def _zero_verdict(diff: Expr, exact: bool, refs: tuple,
 def residual_symbolic(ode: LinearODE, y_p: Expr, eps: float = REL_EPS) -> Residual:
     """Apply the operator, subtract the forcing, and test for zero.
 
-    The approximate backend's zero test is relative to the coefficient scale
+    An exact equation with an exact candidate is checked exactly; any other
+    pair is checked on the float backend (``ode.to_float()``).  The
+    approximate backend's zero test is relative to the coefficient scale
     of L[y_p] and q, not of the residual itself, so cancellations down to
     roundoff count as zero.
     """
+    if not (ode.is_exact() and y_p.is_exact()):
+        ode = ode.to_float()
     applied = apply_operator(ode, y_p)
     diff = applied - ode.forcing
     exact = applied.is_exact() and ode.forcing.is_exact()

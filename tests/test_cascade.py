@@ -10,8 +10,10 @@ from odecascade import (
     RealExpr,
     RealTerm,
     cascade,
+    characteristic,
     differentiate,
     equal_mod_homogeneous,
+    find_roots,
     multiply,
     normalize,
     oracle_undetermined_coefficients,
@@ -215,6 +217,16 @@ def test_pipeline_float_fallback_for_irrational_roots():
     assert trace.y_p.to_float().approx_equal(
         normalize([term(-1.0, 0, 0, 1.0)]), 1e-9
     )
+
+
+@pytest.mark.parametrize("text", ["y'' - 4y' + 4y = t^3*exp(2t)", "y'' - 2y = exp(t)"])
+def test_pipeline_trace_carries_roots_and_residual(text):
+    ode = parse_ode(text)
+    _, trace = particular_solution(ode)
+    assert trace.roots == find_roots(characteristic(ode))
+    assert trace.residual == residual_symbolic(ode, trace.y_p)
+    assert trace.residual.is_zero
+    assert cascade(trace.roots.expand(), ode.forcing).roots is None
 
 
 @pytest.mark.parametrize("k", [100, 171])

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -62,6 +63,19 @@ def test_solve_exact_never_converts_to_float(runner, text):
     assert result.exit_code == 0, result.exception
     assert "residual:       exact-zero" in result.output
     assert "Traceback" not in result.output + result.stderr
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-to-str digit limit")
+@pytest.mark.parametrize("flags", [[], ["--latex"], ["--json"]])
+def test_solve_result_too_long_to_print(runner, flags):
+    # the t^2000 coefficients reach ~2000!, past the 4300-digit str limit
+    result = runner.invoke(main, ["solve", "y'' + y = t^2000", *flags])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: result too large to print")
+    assert len(result.stderr.splitlines()) == 1
 
 
 def test_solve_float_flag(runner):
@@ -185,6 +199,15 @@ def test_eval_grid_matches_numpy_linspace(runner, t_from, t_to, points):
     assert result.exit_code == 0
     printed = [line.split(",")[0] for line in result.output.strip().splitlines()[1:]]
     assert printed == [repr(float(t)) for t in np.linspace(t_from, t_to, points)]
+
+
+def test_eval_overflowing_coefficient_exit_1(runner):
+    # the exact solution -10^400 has no float value
+    result = runner.invoke(main, ["eval", "y'' - y = 1e400",
+                                  "--from", "1", "--to", "2", "--points", "3"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: value at t=1.0 overflows")
 
 
 def test_eval_matches_evaluate(runner):

@@ -91,6 +91,9 @@ def test_residual_float_tolerance_status():
     y = parse_forcing("1/20*t^5*exp(2*t)").to_float()
     res = residual_symbolic(ode, y)
     assert res.is_zero and res.status == "zero-within-tolerance"
+    # an exact equation with a float candidate is checked the same way
+    exact_ode = parse_ode("y'' - 4y' + 4y = t^3*exp(2t)")
+    assert residual_symbolic(exact_ode, y) == res
 
 
 # ---------------------------------------------------------------------------
