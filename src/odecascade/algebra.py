@@ -430,9 +430,10 @@ def antiderivative(e: Expr) -> Expr:
 def evaluate(e, t: float):
     """Numeric value at t.  Expr gives a complex, RealExpr a float.
 
-    Raises :class:`DomainError` at t <= 0 when log terms are present and at
-    t = 0 when negative powers are present, and :class:`OverflowGuard` when a
-    coefficient or a term's value is beyond double precision.
+    Raises :class:`DomainError` at t <= 0 when log terms are present, at
+    t = 0 when negative powers are present and where a term has no value
+    (a sine of an infinite t), and :class:`OverflowGuard` when a coefficient
+    or a term's value is beyond double precision.
     """
     try:
         if isinstance(e, RealExpr):
@@ -444,6 +445,8 @@ def evaluate(e, t: float):
         return total
     except OverflowError as exc:
         raise OverflowGuard(f"value at t={t} overflows double precision: {exc}") from exc
+    except ValueError as exc:  # sin, cos or exp of an infinite argument
+        raise DomainError(f"value at t={t} is undefined: {exc}") from exc
 
 
 def _basis_value(k: int, m: int, t: float) -> float:
@@ -605,7 +608,7 @@ def _canonicalize_real(terms, eps: float = REL_EPS) -> tuple:
     else:
         scale_ = max((abs(t.coeff) for t in out), default=0.0)
         out = [t for t in out if abs(t.coeff) > eps * scale_]
-    out.sort(key=lambda t: (float(t.alpha), float(t.beta), t.tpow, t.logpow, t.kind))
+    out.sort(key=lambda t: (t.alpha, t.beta, t.tpow, t.logpow, t.kind))
     return tuple(out)
 
 

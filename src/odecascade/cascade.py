@@ -138,8 +138,8 @@ def particular_solution(ode: LinearODE):
     q = ode.forcing
     a_n = ode.coeffs[-1]
     if not rootset.all_exact() or not q.is_exact():
-        q = q.to_float()
-        a_n = float(a_n)
+        float_ode = ode.to_float()
+        q, a_n = float_ode.forcing, float_ode.coeffs[-1]
         seq = tuple(complex(r) for r in rootset.expand())
     else:
         seq = rootset.expand()

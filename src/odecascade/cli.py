@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Subcommands: solve, roots, verify, eval, varcoef.  Exit codes: 0 success,
-2 parse error, 3 no closed form (solve), 4 nonzero residual on a solver
-result (internal bug guard), 1 other errors (verify uses 1 for a nonzero
-candidate residual).
+Subcommands: solve, roots, verify, eval, varcoef.  Every OdeCascadeError
+leaves through :class:`_Main` as one ``error:`` line with the exit code of
+:data:`_EXIT_CODES`: 2 ParseError (and UnsupportedFunction,
+NotLinearConstantCoefficient), 3 NotClosedForm, 4 VerificationFailed (a
+solver result failing its own residual check), 1 any other (OverflowGuard,
+DomainError, NonConvergence, ...).  Exit 1 also means a bad option value or
+a nonzero residual of a ``verify`` candidate; 0 is success.
 """
 
 from __future__ import annotations
@@ -19,16 +22,7 @@ import click
 from . import __version__
 from .algebra import Expr, RealTerm, evaluate
 from .cascade import particular_solution
-from .errors import (
-    NonConvergence,
-    NotClosedForm,
-    OdeCascadeError,
-    OverflowGuard,
-    ParseError,
-    StepTooLarge,
-    VerificationFailed,
-)
-from .model import LinearODE
+from .errors import NotClosedForm, OdeCascadeError, ParseError, VerificationFailed
 from .parsing import (
     _digit_limit,
     _render_terms,
@@ -41,6 +35,7 @@ from .parsing import (
     parse_forcing,
 )
 from .roots import characteristic, find_roots
+from .scalars import GaussianRational
 from .verify import (
     STATUS_EXACT_ZERO,
     STATUS_NONZERO,
@@ -48,9 +43,8 @@ from .verify import (
     residual_symbolic,
 )
 
-EXIT_PARSE = 2
-EXIT_NOT_CLOSED_FORM = 3
-EXIT_NONZERO_RESIDUAL = 4
+#: Exit code per error class; any other OdeCascadeError exits 1.
+_EXIT_CODES = {ParseError: 2, NotClosedForm: 3, VerificationFailed: 4}
 
 _STATUS_JSON = {
     STATUS_EXACT_ZERO: "zero",
@@ -59,23 +53,23 @@ _STATUS_JSON = {
 }
 
 
-def _fail(message: str, code: int):
+def _fail(message: str, code: int = 1):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
 
 
-def _fail_parse(exc: ParseError):
-    span = f" at {exc.span.start}..{exc.span.end}" if exc.span else ""
-    _fail(f"{exc}{span}", EXIT_PARSE)
+class _Main(click.Group):
+    """The one error boundary: any OdeCascadeError from a command becomes one
+    ``error:`` line and its exit code from :data:`_EXIT_CODES`."""
 
-
-def _parse_ode_or_exit(text: str) -> LinearODE:
-    try:
-        return parse_ode(text)
-    except ParseError as exc:
-        _fail_parse(exc)
-    except ValueError as exc:
-        _fail(str(exc), EXIT_PARSE)
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except OdeCascadeError as exc:
+            span = getattr(exc, "span", None)
+            where = f" at {span.start}..{span.end}" if span else ""
+            code = next((c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls)), 1)
+            _fail(f"{exc}{where}", code)
 
 
 def _coeff_json(c):
@@ -85,26 +79,16 @@ def _coeff_json(c):
 
 
 def _roots_json(rootset) -> list:
-    return [
-        {
-            "re": complex(e.value).real,
-            "im": complex(e.value).imag,
-            "mult": e.multiplicity,
-            "exact": e.exact,
-        }
-        for e in rootset.entries
-    ]
+    return [{"re": float(e.value.real), "im": float(e.value.imag),
+             "mult": e.multiplicity, "exact": e.exact} for e in rootset.entries]
 
 
 def _root_str(value) -> str:
-    z = complex(value)
-    if z.imag == 0:
-        return f"{value.re}" if hasattr(value, "re") else repr(z.real)
-    if hasattr(value, "re"):
-        sign = "+" if value.im >= 0 else "-"
-        return f"{value.re} {sign} {abs(value.im)}i"
-    sign = "+" if z.imag >= 0 else "-"
-    return f"{z.real!r} {sign} {abs(z.imag)!r}i"
+    fmt = str if isinstance(value, GaussianRational) else repr
+    if value.imag == 0:
+        return fmt(value.real)
+    sign = "+" if value.imag >= 0 else "-"
+    return f"{fmt(value.real)} {sign} {fmt(abs(value.imag))}i"
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -152,7 +136,7 @@ def _solve_report(ode_text, ode, trace, as_latex, show_steps, elapsed) -> str:
     return "\n".join(lines)
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main():
     """Particular solutions of linear constant-coefficient ODEs by cascaded
@@ -171,46 +155,36 @@ def main():
 def solve(ode_text, as_json, as_latex, show_steps, force_exact, force_float):
     """Solve ODE_TEXT, e.g. "y'' + 5y' + 6y = exp(t)*cos(t)"."""
     if force_exact and force_float:
-        _fail("--exact and --float are mutually exclusive", 1)
-    ode = _parse_ode_or_exit(ode_text)
+        _fail("--exact and --float are mutually exclusive")
+    ode = parse_ode(ode_text)
     if force_float:
         ode = ode.to_float()
     t0 = time.perf_counter()
-    try:
-        if force_exact:
-            find_roots(characteristic(ode), method="exact")
-        _, trace = particular_solution(ode)
-    except NotClosedForm as exc:
-        _fail(str(exc), EXIT_NOT_CLOSED_FORM)
-    except VerificationFailed as exc:
-        _fail(str(exc), EXIT_NONZERO_RESIDUAL)
-    except (NonConvergence, OdeCascadeError) as exc:
-        _fail(str(exc), 1)
+    if force_exact:
+        find_roots(characteristic(ode), method="exact")
+    _, trace = particular_solution(ode)
     elapsed = time.perf_counter() - t0
 
     # The whole report is built before any of it is printed, so a result
     # too large to print gives one error line and no partial report.
-    try:
-        with _digit_limit():
-            if as_json:
-                report = json.dumps({
-                    "ode": {
-                        "coeffs": [_coeff_json(c) for c in ode.coeffs],
-                        "forcing": expr_to_json_terms(ode.forcing),
-                    },
-                    "roots": _roots_json(trace.roots),
-                    "y_p": {
-                        "real_terms": realexpr_to_json_terms(trace.y_p_real)
-                        if trace.y_p_real is not None else [],
-                        "complex_terms": expr_to_json_terms(trace.y_p),
-                    },
-                    "residual": _STATUS_JSON[trace.residual.status],
-                    "trace": trace_to_json(trace) if show_steps else [],
-                })
-            else:
-                report = _solve_report(ode_text, ode, trace, as_latex, show_steps, elapsed)
-    except OverflowGuard as exc:
-        _fail(str(exc), 1)
+    with _digit_limit():
+        if as_json:
+            report = json.dumps({
+                "ode": {
+                    "coeffs": [_coeff_json(c) for c in ode.coeffs],
+                    "forcing": expr_to_json_terms(ode.forcing),
+                },
+                "roots": _roots_json(trace.roots),
+                "y_p": {
+                    "real_terms": realexpr_to_json_terms(trace.y_p_real)
+                    if trace.y_p_real is not None else [],
+                    "complex_terms": expr_to_json_terms(trace.y_p),
+                },
+                "residual": _STATUS_JSON[trace.residual.status],
+                "trace": trace_to_json(trace) if show_steps else [],
+            })
+        else:
+            report = _solve_report(ode_text, ode, trace, as_latex, show_steps, elapsed)
     click.echo(report)
 
 
@@ -219,18 +193,19 @@ def solve(ode_text, as_json, as_latex, show_steps, force_exact, force_float):
 @click.option("--json", "as_json", is_flag=True)
 def roots(ode_text, as_json):
     """Characteristic roots of ODE_TEXT with multiplicities."""
-    ode = _parse_ode_or_exit(ode_text)
-    try:
-        rootset = find_roots(characteristic(ode))
-    except OdeCascadeError as exc:
-        _fail(str(exc), 1)
-    if as_json:
-        click.echo(json.dumps(_roots_json(rootset)))
-        return
-    click.echo(f"characteristic: {_poly_str(ode.coeffs)}")
-    click.echo("root                          mult  exact")
-    for e in rootset.entries:
-        click.echo(f"{_root_str(e.value):<28}  {e.multiplicity:<4}  {e.exact}")
+    ode = parse_ode(ode_text)
+    rootset = find_roots(characteristic(ode))
+    with _digit_limit():
+        if as_json:
+            report = json.dumps(_roots_json(rootset))
+        else:
+            report = "\n".join([
+                f"characteristic: {_poly_str(ode.coeffs)}",
+                "root                          mult  exact",
+                *(f"{_root_str(e.value):<28}  {e.multiplicity:<4}  {e.exact}"
+                  for e in rootset.entries),
+            ])
+    click.echo(report)
 
 
 @main.command()
@@ -239,21 +214,20 @@ def roots(ode_text, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def verify(ode_text, candidate_text, as_json):
     """Check whether CANDIDATE_TEXT solves ODE_TEXT (exit 0 iff it does)."""
-    ode = _parse_ode_or_exit(ode_text)
-    try:
-        candidate = parse_forcing(candidate_text)
-    except ParseError as exc:
-        _fail_parse(exc)
+    ode = parse_ode(ode_text)
+    candidate = parse_forcing(candidate_text)
     residual = residual_symbolic(ode, candidate)
-    if as_json:
-        click.echo(json.dumps({
-            "residual": _STATUS_JSON[residual.status],
-            "residual_terms": expr_to_json_terms(residual.expr),
-        }))
-    else:
-        click.echo(f"residual: {residual.status}")
-        if not residual.is_zero:
-            click.echo(f"L[y] - q = {render(residual.expr, 'plain', ode.var)}")
+    with _digit_limit():
+        if as_json:
+            report = json.dumps({
+                "residual": _STATUS_JSON[residual.status],
+                "residual_terms": expr_to_json_terms(residual.expr),
+            })
+        else:
+            report = f"residual: {residual.status}"
+            if not residual.is_zero:
+                report += f"\nL[y] - q = {render(residual.expr, 'plain', ode.var)}"
+    click.echo(report)
     sys.exit(0 if residual.is_zero else 1)
 
 
@@ -265,25 +239,18 @@ def verify(ode_text, candidate_text, as_json):
 def eval_cmd(ode_text, t_from, t_to, npoints):
     """Solve ODE_TEXT and print CSV samples "t,y" of the particular solution."""
     if npoints < 1:
-        _fail("--points must be at least 1", 1)
-    ode = _parse_ode_or_exit(ode_text)
-    try:
-        solution, _ = particular_solution(ode)
-    except NotClosedForm as exc:
-        _fail(str(exc), EXIT_NOT_CLOSED_FORM)
-    except OdeCascadeError as exc:
-        _fail(str(exc), 1)
-    click.echo(f"{ode.var},y")
+        _fail("--points must be at least 1")
+    ode = parse_ode(ode_text)
+    solution, _ = particular_solution(ode)
+    rows = [f"{ode.var},y"]
     for t in _linspace(t_from, t_to, npoints):
-        try:
-            value = evaluate(solution, t)
-        except OdeCascadeError as exc:
-            _fail(str(exc), 1)
+        value = evaluate(solution, t)
         if isinstance(solution, Expr):
             if abs(value.imag) > 1e-9 * (1 + abs(value)):
-                _fail("solution is complex-valued on this grid", 1)
+                _fail("solution is complex-valued on this grid")
             value = value.real
-        click.echo(f"{t!r},{float(value)!r}")
+        rows.append(f"{t!r},{float(value)!r}")
+    click.echo("\n".join(rows))
 
 
 @main.command()
@@ -301,15 +268,12 @@ def varcoef(a, n, forcing_text, x0, x1, step):
     """
     from .varcoef import PowerCoefODE, solve_varcoef
 
-    try:
-        forcing, _ = parse_numeric_function(forcing_text)
-    except ParseError as exc:
-        _fail_parse(exc)
+    forcing, _ = parse_numeric_function(forcing_text)
     try:
         ode = PowerCoefODE(a, n, forcing, x0, x1)
         sol = solve_varcoef(ode, step)
-    except (StepTooLarge, OverflowGuard, ValueError) as exc:
-        _fail(str(exc), 1)
+    except ValueError as exc:  # the argument checks of both
+        _fail(str(exc))
     click.echo("x,phi,y,stage1_residual,stage2_residual,fd_residual")
     for i in range(len(sol.xs)):
         cells = [repr(float(sol.xs[i])), repr(float(sol.phi[i])), repr(float(sol.y[i]))]

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Expr
+from .errors import OverflowGuard
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,12 @@ class LinearODE:
         return all(isinstance(c, Fraction) for c in self.coeffs) and self.forcing.is_exact()
 
     def to_float(self) -> "LinearODE":
-        return LinearODE(
-            tuple(float(c) for c in self.coeffs), self.forcing.to_float(), self.var
-        )
+        """The same equation in floats; OverflowGuard for a value with no double."""
+        try:
+            coeffs = tuple(float(c) for c in self.coeffs)
+            forcing = self.forcing.to_float()
+        except OverflowError as exc:
+            raise OverflowGuard(f"a coefficient is beyond double range: {exc}") from exc
+        if not coeffs[-1]:
+            raise OverflowGuard("the leading coefficient underflows to zero as a float")
+        return LinearODE(coeffs, forcing, self.var)

@@ -127,6 +127,14 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _number(tok: _Token) -> Fraction:
+    """The exact value of a NUM token."""
+    try:
+        return Fraction(tok.text)
+    except ValueError as exc:  # a digit int() refuses ("²"), or past the str-to-int limit
+        raise ParseError(f"cannot read number: {exc}", tok.span) from exc
+
+
 # ---------------------------------------------------------------------------
 # syntax tree
 # ---------------------------------------------------------------------------
@@ -233,13 +241,13 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NUM":
             self.take()
-            return _Num(Fraction(tok.text), tok.span)
+            return _Num(_number(tok), tok.span)
         if self.at_op("-"):
             minus = self.take()
             num = self.peek()
             if num.kind == "NUM":
                 self.take()
-                return _Num(-Fraction(num.text), SourceSpan(minus.start, num.end))
+                return _Num(-_number(num), SourceSpan(minus.start, num.end))
             raise ParseError("expected a number after '-' in exponent", num.span)
         if self.at_op("("):
             self.take()
@@ -252,7 +260,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "NUM":
             self.take()
-            node = _Num(Fraction(tok.text), tok.span)
+            node = _Num(_number(tok), tok.span)
             # juxtaposition: literal immediately followed by a variable power
             nxt = self.peek()
             if nxt.kind == "NAME" and nxt.text in _VARIABLES:
@@ -299,20 +307,15 @@ class _Parser:
 # lowering to the algebra
 # ---------------------------------------------------------------------------
 
-class _LowerContext:
-    def __init__(self):
-        self.variables: set[str] = set()
-
-
-def _int_const(node, ctx) -> int:
-    e = _lower(node, ctx)
+def _int_const(node, variables: set) -> int:
+    e = _lower(node, variables)
     if e.is_zero:
         return 0
     if len(e.terms) == 1:
         t = e.terms[0]
         if t.tpow == 0 and t.logpow == 0 and not t.exponent:
             c = t.coeff
-            if isinstance(c, GaussianRational) and not c.im and c.re.denominator == 1:
+            if not c.im and c.re.denominator == 1:
                 return int(c.re)
     raise ParseError("exponent must be an integer constant", node.span)
 
@@ -333,22 +336,23 @@ def _linear_coefficient(arg_expr: Expr):
     return None
 
 
-def _lower(node, ctx: _LowerContext) -> Expr:
+def _lower(node, variables: set) -> Expr:
+    """The Expr of a syntax tree; adds each variable it meets to ``variables``."""
     if isinstance(node, _Num):
         return const(node.value)
     if isinstance(node, _Name):
         if node.ident in _VARIABLES:
-            ctx.variables.add(node.ident)
+            variables.add(node.ident)
             return make_expr(make_term(1, 1))
         if node.ident == "i":
             return const(GaussianRational(0, 1))
         raise UnsupportedFunction(f"unknown name {node.ident!r}", node.span)
     if isinstance(node, _Unary):
-        inner = _lower(node.operand, ctx)
+        inner = _lower(node.operand, variables)
         return -inner if node.op == "-" else inner
     if isinstance(node, _Bin):
-        left = _lower(node.left, ctx)
-        right = _lower(node.right, ctx)
+        left = _lower(node.left, variables)
+        right = _lower(node.right, variables)
         if node.op == "+":
             return left + right
         if node.op == "-":
@@ -356,44 +360,42 @@ def _lower(node, ctx: _LowerContext) -> Expr:
         if node.op == "*":
             return multiply(left, right)
         if node.op == "/":
+            if right.is_zero:
+                raise ParseError("division by zero", node.right.span)
             divisor = _single_term(right)
             if divisor is None or divisor.tpow or divisor.logpow or divisor.exponent:
                 raise UnsupportedFunction(
                     "division is only supported by a numeric constant", node.right.span
                 )
-            return scale(GaussianRational(1) / divisor.coeff
-                         if isinstance(divisor.coeff, GaussianRational)
-                         else 1.0 / divisor.coeff, left)
+            return scale(GaussianRational(1) / divisor.coeff, left)
         raise ParseError(f"unknown operator {node.op!r}", node.span)
     if isinstance(node, _Pow):
-        n = _int_const(node.power, ctx)
-        base = _lower(node.base, ctx)
+        n = _int_const(node.power, variables)
+        base = _lower(node.base, variables)
         if n < 0:
             t = _single_term(base)
             if t is None or t.logpow:
                 raise UnsupportedFunction(
                     "negative powers need a single log-free factor", node.span
                 )
-            inverse = make_expr(make_term(
-                t.coeff ** -1 if isinstance(t.coeff, GaussianRational) else 1.0 / t.coeff,
-                -t.tpow, 0, -t.exponent))
+            inverse = make_expr(make_term(t.coeff ** -1, -t.tpow, 0, -t.exponent))
             base, n = inverse, -n
         out = const(1)
         for _ in range(n):
             out = multiply(out, base)
         return out
     if isinstance(node, _Call):
-        return _lower_call(node, ctx)
+        return _lower_call(node, variables)
     raise ParseError("malformed expression", getattr(node, "span", None))
 
 
-def _lower_call(node: _Call, ctx: _LowerContext) -> Expr:
+def _lower_call(node: _Call, variables: set) -> Expr:
     if node.func not in _FUNCTIONS:
         raise UnsupportedFunction(
             f"function {node.func!r} is not supported (use exp, sin, cos, ln)",
             node.span,
         )
-    arg = _lower(node.arg, ctx)
+    arg = _lower(node.arg, variables)
     if node.func == "exp":
         c = _linear_coefficient(arg)
         if c is None:
@@ -403,24 +405,19 @@ def _lower_call(node: _Call, ctx: _LowerContext) -> Expr:
         return exponential(c)
     if node.func in ("sin", "cos"):
         b = _linear_coefficient(arg)
-        is_real = b is not None and (
-            not b.im if isinstance(b, GaussianRational) else b.imag == 0
-        )
-        if not is_real:
+        if b is None or b.im:
             raise UnsupportedFunction(
                 f"{node.func} argument must be b*t with real b", node.arg.span
             )
-        i = GaussianRational(0, 1) if isinstance(b, GaussianRational) else 1j
-        half = Fraction(1, 2) if isinstance(b, GaussianRational) else 0.5
+        i = GaussianRational(0, 1)
+        half = Fraction(1, 2)
         plus = make_term(half, 0, 0, i * b)
         minus_rate = -(i * b)
         if node.func == "cos":
             return make_expr(plus, make_term(half, 0, 0, minus_rate))
         return make_expr(
-            make_term(-(i * half) if isinstance(b, GaussianRational) else -0.5j,
-                      0, 0, i * b),
-            make_term((i * half) if isinstance(b, GaussianRational) else 0.5j,
-                      0, 0, minus_rate),
+            make_term(-(i * half), 0, 0, i * b),
+            make_term(i * half, 0, 0, minus_rate),
         )
     # ln
     t = _single_term(arg)
@@ -431,8 +428,8 @@ def _lower_call(node: _Call, ctx: _LowerContext) -> Expr:
     return make_expr(make_term(1, 0, 1))
 
 
-def _parse_ast(text: str):
-    parser = _Parser(_tokenize(text))
+def _parse_ast(tokens: list[_Token]):
+    parser = _Parser(tokens)
     node = parser.parse_expr()
     trailing = parser.peek()
     if trailing.kind != "END":
@@ -448,13 +445,15 @@ def parse_forcing(text: str) -> Expr:
 
 def parse_forcing_with_var(text: str) -> tuple[Expr, str | None]:
     """Like :func:`parse_forcing` but also report which variable was used."""
-    node = _parse_ast(text)
-    ctx = _LowerContext()
-    e = _lower(node, ctx)
-    if len(ctx.variables) > 1:
+    return _lower_forcing(_tokenize(text))
+
+
+def _lower_forcing(tokens: list[_Token]) -> tuple[Expr, str | None]:
+    variables: set[str] = set()
+    e = _lower(_parse_ast(tokens), variables)
+    if len(variables) > 1:
         raise ParseError("mix of variables 't' and 'x' in one expression", None)
-    var = next(iter(ctx.variables)) if ctx.variables else None
-    return e, var
+    return e, next(iter(variables), None)
 
 
 # ---------------------------------------------------------------------------
@@ -482,16 +481,7 @@ def parse_ode(text: str) -> LinearODE:
 
     coeffs = _parse_lhs(lhs)
 
-    rhs_parser = _Parser(rhs)
-    node = rhs_parser.parse_expr()
-    trailing = rhs_parser.peek()
-    if trailing.kind != "END":
-        raise ParseError("unexpected trailing input", trailing.span)
-    ctx = _LowerContext()
-    forcing = _lower(node, ctx)
-    if len(ctx.variables) > 1:
-        raise ParseError("mix of variables 't' and 'x' in the forcing", None)
-    var = next(iter(ctx.variables)) if ctx.variables else "t"
+    forcing, var = _lower_forcing(rhs)
 
     order = max(coeffs)
     if order < 1:
@@ -501,7 +491,7 @@ def parse_ode(text: str) -> LinearODE:
     vec = [coeffs.get(k, Fraction(0)) for k in range(order + 1)]
     if not vec[-1]:
         raise ParseError(f"leading coefficient of y^({order}) is zero", None)
-    return LinearODE(tuple(vec), forcing, var)
+    return LinearODE(tuple(vec), forcing, var or "t")
 
 
 def _parse_lhs(tokens: list[_Token]) -> dict[int, Fraction]:
@@ -520,14 +510,15 @@ def _parse_lhs(tokens: list[_Token]) -> dict[int, Fraction]:
         tok = tokens[pos]
         # optional numeric coefficient, possibly a fraction or decimal
         value = Fraction(1)
-        have_coeff = False
         if tok.kind == "NUM":
-            value = Fraction(tok.text)
-            have_coeff = True
+            value = _number(tok)
             pos += 1
             if tokens[pos].kind == "OP" and tokens[pos].text == "/":
                 if tokens[pos + 1].kind == "NUM":
-                    value /= Fraction(tokens[pos + 1].text)
+                    divisor = _number(tokens[pos + 1])
+                    if not divisor:
+                        raise ParseError("division by zero", tokens[pos + 1].span)
+                    value /= divisor
                     pos += 2
                 else:
                     raise ParseError("expected a number after '/'",
@@ -563,7 +554,7 @@ def _parse_lhs(tokens: list[_Token]) -> dict[int, Fraction]:
             pos += 1
             if tokens[pos].kind != "NUM":
                 raise ParseError("expected a derivative order", tokens[pos].span)
-            order_frac = Fraction(tokens[pos].text)
+            order_frac = _number(tokens[pos])
             if order_frac.denominator != 1 or order_frac < 0:
                 raise ParseError("derivative order must be a nonnegative integer",
                                  tokens[pos].span)
@@ -599,12 +590,15 @@ def parse_numeric_function(text: str):
     """
     import math as _math
 
-    node = _parse_ast(text)
+    node = _parse_ast(_tokenize(text))
     names: set[str] = set()
 
     def build(nd):
         if isinstance(nd, _Num):
-            v = float(nd.value)
+            try:
+                v = float(nd.value)
+            except OverflowError as exc:
+                raise ParseError("number is beyond double range", nd.span) from exc
             return lambda x: v
         if isinstance(nd, _Name):
             if nd.ident in _VARIABLES:
@@ -925,14 +919,21 @@ def render(obj, style: str = "plain", var: str = "t") -> str:
 
 @contextmanager
 def _digit_limit():
-    """Re-raise Python's int-to-str digit limit (a ValueError from ``str``,
-    ``repr`` or ``json.dumps`` of a huge integer) as :class:`OverflowGuard`."""
+    """Re-raise what stops a huge exact value from being printed as
+    :class:`OverflowGuard`: Python's int-to-str digit limit (a ValueError from
+    ``str``, ``repr`` or ``json.dumps``) and the double range (an
+    OverflowError from writing the value as a JSON float)."""
     try:
         yield
     except ValueError as exc:
         raise OverflowGuard(
             "result too large to print: an integer has more digits than "
             "Python converts to text (see PYTHONINTMAXSTRDIGITS)"
+        ) from exc
+    except OverflowError as exc:
+        raise OverflowGuard(
+            "result too large to print: a value is beyond the range of a "
+            "JSON float"
         ) from exc
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegreeLimitExceeded, NonConvergence
+from .errors import DegreeLimitExceeded, NonConvergence, OverflowGuard
 from .model import LinearODE
 from .scalars import GaussianRational, rational_sqrt
 
@@ -93,7 +93,7 @@ class RootSet:
     def __post_init__(self):
         ordered = tuple(sorted(
             self.entries,
-            key=lambda e: (-complex(e.value).real, -complex(e.value).imag),
+            key=lambda e: (-e.value.real, -e.value.imag),
         ))
         object.__setattr__(self, "entries", ordered)
 
@@ -142,7 +142,12 @@ def find_roots(p: CharPoly, tol: float = 1e-10, method: str = "auto",
                 raise NonConvergence(
                     "roots are not expressible as Gaussian rationals", ()
                 )
-            remaining = CharPoly(tuple(float(c) for c in remaining_coeffs))
+            try:
+                remaining = CharPoly(tuple(float(c) for c in remaining_coeffs))
+            except (OverflowError, ValueError) as exc:  # ValueError: lead underflows
+                raise OverflowGuard(
+                    f"a characteristic coefficient has no double value: {exc}"
+                ) from exc
     elif method == "exact":
         raise NonConvergence("exact root finding needs rational coefficients", ())
 

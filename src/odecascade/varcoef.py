@@ -31,7 +31,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .algebra import Expr, evaluate
-from .errors import NotFactorable, OverflowGuard, StepTooLarge
+from .errors import DomainError, NotFactorable, OverflowGuard, StepTooLarge
 
 #: exp argument cap: |a x^(n+1)/(n+1)| above this overflows doubles.
 EXP_ARG_LIMIT = 700.0
@@ -62,6 +62,8 @@ class PowerCoefODE:
             raise ValueError("n must be a nonnegative integer")
         if not self.x1 > self.x0:
             raise ValueError("need x1 > x0")
+        if not (math.isfinite(self.x0) and math.isfinite(self.x1)):
+            raise ValueError("need a finite domain")
         if isinstance(self.forcing, Expr):
             needs_positive = any(t.logpow > 0 or t.tpow < 0 for t in self.forcing.terms)
             if needs_positive and self.x0 <= 0:
@@ -70,10 +72,22 @@ class PowerCoefODE:
             raise TypeError("forcing must be an Expr or a callable")
 
     def forcing_callable(self):
+        """q(x) as a float.  A callable forcing that fails at x (division by
+        zero, a math domain error, a complex value) raises
+        :class:`DomainError`; one that overflows raises :class:`OverflowGuard`."""
         f = self.forcing
         if isinstance(f, Expr):
             return lambda x: evaluate(f, x).real
-        return lambda x: float(f(x))
+
+        def q(x):
+            try:
+                return float(f(x))
+            except OverflowError as exc:
+                raise OverflowGuard(f"forcing overflows at x={x}: {exc}") from exc
+            except (ZeroDivisionError, ValueError, TypeError) as exc:
+                raise DomainError(f"forcing is undefined at x={x}: {exc}") from exc
+
+        return q
 
     def coefficient(self, x):
         """w(x) in the factored-form equation y'' - w(x) y = q."""

@@ -176,3 +176,66 @@ real_exprs_strategy = st.lists(real_terms_strategy, min_size=0, max_size=5).map(
 def permutations_of(seq):
     """Distinct permutations of a root multiset."""
     return set(itertools.permutations(seq))
+
+
+# ---------------------------------------------------------------------------
+# input text shaped by docs/grammar.ebnf
+# ---------------------------------------------------------------------------
+
+#: literals, including ones past the double range and a zero divisor
+_numbers = st.sampled_from(["0", "1", "2", "3", "1/2", "7/3", "0.5", "2.5", "1e3",
+                            "1e-3", "1e400", "1e-400"])
+#: exponents stay small, so every example solves in milliseconds
+_exponents = st.sampled_from(["0", "1", "2", "3", "6", "-1", "(2)", "(1/2)", "(-2)"])
+
+
+def _atom_texts(var):
+    return st.one_of(
+        _numbers,
+        st.just(var),
+        st.just("i"),
+        st.builds(lambda c, k: f"{c}{var}^{k}", st.sampled_from(["1", "5", "2.5"]),
+                  st.integers(0, 6)),
+        st.builds(lambda c: f"e^({c}*{var})", _numbers),
+        st.just(f"e^{var}"),
+        st.builds(lambda f, c: f"{f}({c}*{var})",
+                  st.sampled_from(["exp", "sin", "cos"]), _numbers),
+        st.just(f"ln({var})"),
+        st.builds(lambda f: f"{f}({var}^2)", st.sampled_from(["exp", "sin", "ln"])),
+    )
+
+
+def _powered(atoms):
+    return st.one_of(atoms, st.builds(lambda a, k: f"({a})^{k}", atoms, _exponents))
+
+
+def _combine(children):
+    return st.one_of(
+        st.builds(lambda a, op, b: f"{a} {op} {b}", children,
+                  st.sampled_from(["+", "-", "*", "/"]), children),
+        st.builds(lambda a: f"-{a}", children),
+        st.builds(lambda a: f"({a})", children),
+    )
+
+
+def forcing_texts(var="t"):
+    """Forcing expressions in the grammar; some break an argument rule."""
+    return st.recursive(_powered(_atom_texts(var)), _combine, max_leaves=6)
+
+
+_y_parts = st.one_of(
+    st.integers(0, 4).map(lambda k: "y" + "'" * k),
+    st.integers(0, 4).map(lambda k: f"y^({k})"),
+)
+_y_terms = st.builds(
+    lambda c, y: f"{c}{y}",
+    st.sampled_from(["", "", "2", "3*", "1/2", "0", "1e400", "1e-400", "5/0"]),
+    _y_parts,
+)
+
+
+def ode_texts():
+    """Whole equations in the grammar: one to four y terms, then a forcing."""
+    lhs = st.lists(st.tuples(st.sampled_from(["+", "-"]), _y_terms), min_size=1,
+                   max_size=4).map(lambda ts: " ".join(f"{s} {t}" for s, t in ts))
+    return st.builds(lambda l, q: f"{l} = {q}", lhs, forcing_texts())

@@ -8,6 +8,7 @@ from odecascade import (
     Expr,
     GaussianRational as GR,
     NotLinearConstantCoefficient,
+    OdeCascadeError,
     ParseError,
     RealExpr,
     RealTerm,
@@ -25,7 +26,7 @@ from odecascade import (
     term,
 )
 
-from support import exprs_strategy, real_exprs_strategy
+from support import exprs_strategy, forcing_texts, ode_texts, real_exprs_strategy
 
 HALF = GR(Fraction(1, 2))
 
@@ -92,6 +93,36 @@ def test_parse_x_as_variable():
     assert parse_forcing("x^2") == E(term(1, 2))
     with pytest.raises(ParseError):
         parse_forcing("x + t")
+
+
+@settings(max_examples=150, derandomize=True)
+@given(forcing_texts())
+def test_parsed_forcing_is_exact(text):
+    # every literal lowers to a Fraction and i to a GaussianRational, so the
+    # parser never produces a float
+    try:
+        e = parse_forcing(text)
+    except OdeCascadeError:
+        return
+    assert e.is_exact()
+
+
+@settings(max_examples=150, derandomize=True)
+@given(ode_texts())
+def test_parsed_ode_is_exact(text):
+    try:
+        ode = parse_ode(text)
+    except OdeCascadeError:
+        return
+    assert ode.is_exact()
+
+
+@pytest.mark.parametrize("text, span", [
+    ("1/0", (2, 3)), ("t/(1 - 1)", (3, 8)), ("exp((2/0)*t)", (7, 8))])
+def test_division_by_zero_is_a_parse_error(text, span):
+    with pytest.raises(ParseError, match="division by zero") as err:
+        parse_forcing(text)
+    assert (err.value.span.start, err.value.span.end) == span
 
 
 def test_parse_errors_carry_spans():
