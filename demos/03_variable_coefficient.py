@@ -16,8 +16,6 @@ Run:  python demos/03_variable_coefficient.py
 
 import math
 
-import numpy as np
-
 from odecascade import PowerCoefODE, recognize_factorable, solve_varcoef
 
 print("recognizing the factorable pattern in y'' + b x^m y = q")
@@ -53,4 +51,4 @@ print()
 print("sampled solution (every 200th node):")
 for i in range(0, len(sol.xs), 200):
     print(f"  x={sol.xs[i]:.2f}  phi={sol.phi[i]: .6f}  y={sol.y[i]: .6f}")
-print(f"  max |y| on grid: {np.max(np.abs(sol.y)):.6f}")
+print(f"  max |y| on grid: {max(map(abs, sol.y)):.6f}")

@@ -59,6 +59,8 @@ from .parsing import (
 )
 from .roots import CharPoly, RootEntry, RootSet, characteristic, expand_from_roots, find_roots
 from .scalars import GaussianRational, as_scalar, rational_sqrt
+from .varcoef import (NumericSolution, PowerCoefODE, recognize_factorable,
+                      residual_varcoef, solve_varcoef)
 from .verify import (
     Residual,
     apply_operator,
@@ -68,20 +70,6 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-#: Names re-exported from :mod:`odecascade.varcoef`, which needs numpy; it is
-#: imported on the first access to one of them (PEP 562).
-_VARCOEF_NAMES = frozenset({
-    "NumericSolution", "PowerCoefODE", "recognize_factorable",
-    "residual_varcoef", "solve_varcoef",
-})
-
-
-def __getattr__(name):
-    if name in _VARCOEF_NAMES:
-        from . import varcoef
-        return getattr(varcoef, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "COS", "SIN", "REL_EPS",

@@ -36,6 +36,7 @@ from .parsing import (
 )
 from .roots import characteristic, find_roots
 from .scalars import GaussianRational
+from .varcoef import PowerCoefODE, linspace, solve_varcoef
 from .verify import (
     STATUS_EXACT_ZERO,
     STATUS_NONZERO,
@@ -89,21 +90,6 @@ def _root_str(value) -> str:
         return fmt(value.real)
     sign = "+" if value.imag >= 0 else "-"
     return f"{fmt(value.real)} {sign} {fmt(abs(value.imag))}i"
-
-
-def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """The points of ``numpy.linspace(start, stop, num)``, bit for bit."""
-    div = num - 1
-    delta = stop - start
-    if div == 0:
-        return [0.0 * delta + start]
-    step = delta / div
-    if step == 0:
-        points = [i / div * delta + start for i in range(num)]
-    else:
-        points = [i * step + start for i in range(num)]
-    points[-1] = stop
-    return points
 
 
 def _poly_str(coeffs) -> str:
@@ -243,7 +229,7 @@ def eval_cmd(ode_text, t_from, t_to, npoints):
     ode = parse_ode(ode_text)
     solution, _ = particular_solution(ode)
     rows = [f"{ode.var},y"]
-    for t in _linspace(t_from, t_to, npoints):
+    for t in linspace(t_from, t_to, npoints):
         value = evaluate(solution, t)
         if isinstance(solution, Expr):
             if abs(value.imag) > 1e-9 * (1 + abs(value)):
@@ -266,8 +252,6 @@ def varcoef(a, n, forcing_text, x0, x1, step):
     Prints CSV of (x, phi, y, residuals); the residual summary goes to
     stderr.
     """
-    from .varcoef import PowerCoefODE, solve_varcoef
-
     forcing, _ = parse_numeric_function(forcing_text)
     try:
         ode = PowerCoefODE(a, n, forcing, x0, x1)
@@ -275,12 +259,9 @@ def varcoef(a, n, forcing_text, x0, x1, step):
     except ValueError as exc:  # the argument checks of both
         _fail(str(exc))
     click.echo("x,phi,y,stage1_residual,stage2_residual,fd_residual")
-    for i in range(len(sol.xs)):
-        cells = [repr(float(sol.xs[i])), repr(float(sol.phi[i])), repr(float(sol.y[i]))]
-        for arr in (sol.stage1_residuals, sol.stage2_residuals, sol.fd_residuals):
-            v = arr[i]
-            cells.append("" if math.isnan(v) else repr(float(v)))
-        click.echo(",".join(cells))
+    for row in zip(sol.xs, sol.phi, sol.y, sol.stage1_residuals,
+                   sol.stage2_residuals, sol.fd_residuals):
+        click.echo(",".join("" if math.isnan(v) else repr(v) for v in row))
     click.echo(
         f"max residuals: stage1={sol.max_stage1_residual:.3e} "
         f"stage2={sol.max_stage2_residual:.3e} fd={sol.max_fd_residual:.3e}",

@@ -176,18 +176,13 @@ class GaussianRational:
         return f"{self.re}{sign}{imag}"
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
-
-
 def as_scalar(value):
     """Coerce a number to one of the two scalar backends.
 
     int and Fraction become exact GaussianRationals, float and complex stay
     approximate.
     """
-    if isinstance(value, GaussianRational):
+    if type(value) is complex or isinstance(value, GaussianRational):
         return value
     if isinstance(value, _EXACT_INPUTS):
         return GaussianRational(value)

@@ -19,16 +19,14 @@ marches both stages simultaneously with classical fourth-order Runge-Kutta
 from zero initial values (any initial values give a particular solution;
 zero is the reproducible choice).  The closed forms are still used:
 composite Gauss-Legendre quadrature evaluates them at a handful of probe
-points as an independent cross-check of the march.
+points as an independent cross-check of the march.  The rule comes from
+Newton's method on the Legendre recurrence; all arrays are lists of floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .algebra import Expr, evaluate
 from .errors import DomainError, NotFactorable, OverflowGuard, StepTooLarge
@@ -37,7 +35,6 @@ from .errors import DomainError, NotFactorable, OverflowGuard, StepTooLarge
 EXP_ARG_LIMIT = 700.0
 #: Gauss-Legendre nodes per panel of the cross-check quadrature.
 GL_ORDER = 16
-_GL_NODES, _GL_WEIGHTS = leggauss(GL_ORDER)
 #: The cross-check doubles its panel count up to this many, then settles for
 #: its finest estimate.
 GL_MAX_PANELS = 32
@@ -103,19 +100,19 @@ class NumericSolution:
     """Sampled stage function phi and particular solution y on a uniform grid,
     with the residual diagnostics filled in by the solver."""
 
-    xs: np.ndarray
-    phi: np.ndarray
-    y: np.ndarray
+    xs: list[float]
+    phi: list[float]
+    y: list[float]
     h: float
-    stage1_residuals: np.ndarray = field(default=None, repr=False)
-    stage2_residuals: np.ndarray = field(default=None, repr=False)
-    fd_residuals: np.ndarray = field(default=None, repr=False)
+    stage1_residuals: list[float] = field(default=None, repr=False)
+    stage2_residuals: list[float] = field(default=None, repr=False)
+    fd_residuals: list[float] = field(default=None, repr=False)
     max_stage1_residual: float = math.nan
     max_stage2_residual: float = math.nan
     max_fd_residual: float = math.nan
-    probe_xs: np.ndarray = field(default=None, repr=False)
-    probe_phi_errors: np.ndarray = field(default=None, repr=False)
-    probe_y_errors: np.ndarray = field(default=None, repr=False)
+    probe_xs: list[float] = field(default=None, repr=False)
+    probe_phi_errors: list[float] = field(default=None, repr=False)
+    probe_y_errors: list[float] = field(default=None, repr=False)
 
 
 def recognize_factorable(b: float, m: int, forcing=None,
@@ -140,6 +137,26 @@ def recognize_factorable(b: float, m: int, forcing=None,
 
 def _exp_arg(a: float, n: int, x: float) -> float:
     return a * x ** (n + 1) / (n + 1)
+
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """The points of ``numpy.linspace(start, stop, num)``, bit for bit."""
+    div = num - 1
+    delta = stop - start
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0:
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
+def _max_abs(values) -> float:
+    """The largest |v| over the values that are not NaN; NaN if none is."""
+    return max((abs(v) for v in values if not math.isnan(v)), default=math.nan)
 
 
 def solve_varcoef(ode: PowerCoefODE, h: float, stage_tol: float = 1e-6,
@@ -171,10 +188,7 @@ def solve_varcoef(ode: PowerCoefODE, h: float, stage_tol: float = 1e-6,
         axn = a * x ** n
         return q(x) - axn * phi, phi + axn * y
 
-    xs = np.empty(steps + 1)
-    phis = np.empty(steps + 1)
-    ys = np.empty(steps + 1)
-    xs[0], phis[0], ys[0] = ode.x0, 0.0, 0.0
+    xs, phis, ys = [ode.x0], [0.0], [0.0]
     phi, y = 0.0, 0.0
     for i in range(steps):
         x = ode.x0 + i * h_eff
@@ -184,18 +198,17 @@ def solve_varcoef(ode: PowerCoefODE, h: float, stage_tol: float = 1e-6,
         k4p, k4y = rhs(x + h_eff, phi + h_eff * k3p, y + h_eff * k3y)
         phi += h_eff / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
         y += h_eff / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        xs[i + 1] = ode.x0 + (i + 1) * h_eff
-        phis[i + 1] = phi
-        ys[i + 1] = y
-    if not (np.all(np.isfinite(phis)) and np.all(np.isfinite(ys))):
+        xs.append(ode.x0 + (i + 1) * h_eff)
+        phis.append(phi)
+        ys.append(y)
+    if not (all(map(math.isfinite, phis)) and all(map(math.isfinite, ys))):
         raise OverflowGuard("solution is not finite on the grid")
 
     sol = NumericSolution(xs=xs, phi=phis, y=ys, h=h_eff)
     r1, r2, rfd = _residual_arrays(sol, ode)
     sol.stage1_residuals, sol.stage2_residuals, sol.fd_residuals = r1, r2, rfd
-    sol.max_stage1_residual = float(np.nanmax(np.abs(r1)))
-    sol.max_stage2_residual = float(np.nanmax(np.abs(r2)))
-    sol.max_fd_residual = float(np.nanmax(np.abs(rfd)))
+    sol.max_stage1_residual, sol.max_stage2_residual, sol.max_fd_residual = (
+        _max_abs(r1), _max_abs(r2), _max_abs(rfd))
     if max(sol.max_stage1_residual, sol.max_stage2_residual) > stage_tol:
         raise StepTooLarge(
             f"stage residuals {sol.max_stage1_residual:.3e}, "
@@ -212,23 +225,22 @@ def _cross_check(sol: NumericSolution, ode: PowerCoefODE,
     """Evaluate the closed-form integrating-factor solutions by Gauss-Legendre
     quadrature at a few grid nodes and compare with the march."""
     q = ode.forcing_callable()
-    count = len(sol.xs)
-    idx = np.unique(np.linspace(1, count - 1, probe_points).astype(int))
-    probe_xs = sol.xs[idx]
-    exact = np.array([_closed_forms(ode, q, x) for x in probe_xs])
-    if not np.all(np.isfinite(exact)):
+    idx = sorted({int(v) for v in linspace(1, len(sol.xs) - 1, probe_points)})
+    sol.probe_xs = [sol.xs[i] for i in idx]
+    try:
+        exact = [_closed_forms(ode, q, x) for x in sol.probe_xs]
+    except OverflowError:
+        exact = None
+    if exact is None or not all(math.isfinite(v) for pair in exact for v in pair):
         raise OverflowGuard("closed-form cross-check is not finite on this domain")
-    phi_scale = max(1.0, float(np.max(np.abs(sol.phi))))
-    y_scale = max(1.0, float(np.max(np.abs(sol.y))))
-    phi_err = np.abs(exact[:, 0] - sol.phi[idx])
-    y_err = np.abs(exact[:, 1] - sol.y[idx])
-    sol.probe_xs = probe_xs
-    sol.probe_phi_errors = phi_err
-    sol.probe_y_errors = y_err
-    if np.max(phi_err) > probe_tol * phi_scale or np.max(y_err) > probe_tol * y_scale:
+    phi_scale = max(1.0, _max_abs(sol.phi))
+    y_scale = max(1.0, _max_abs(sol.y))
+    sol.probe_phi_errors = phi_err = [abs(e[0] - sol.phi[i]) for e, i in zip(exact, idx)]
+    sol.probe_y_errors = y_err = [abs(e[1] - sol.y[i]) for e, i in zip(exact, idx)]
+    if max(phi_err) > probe_tol * phi_scale or max(y_err) > probe_tol * y_scale:
         raise StepTooLarge(
-            f"quadrature cross-check deviates by {float(np.max(phi_err)):.3e} (phi) / "
-            f"{float(np.max(y_err)):.3e} (y); the march is not resolved, reduce h"
+            f"quadrature cross-check deviates by {max(phi_err):.3e} (phi) / "
+            f"{max(y_err):.3e} (y); the march is not resolved, reduce h"
         )
 
 
@@ -245,62 +257,89 @@ def _closed_forms(ode: PowerCoefODE, q, x: float):
 
     so q is sampled once per node, shared by I and J.  The panel count
     doubles until two successive estimates of I agree to epsabs 1e-12 /
-    epsrel 1e-10 and of J to 1e-10 / 1e-8.
+    epsrel 1e-10 and of J to 1e-10 / 1e-8.  An exponent past the double
+    range raises ``OverflowError``.
     """
     a, n, x0 = ode.a, ode.n, ode.x0
     previous = None
     panels = 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            t, w = _unit_rule(panels)
-            us = x0 + (x - x0) * t
-            qs = np.array([q(u) for u in us])
-            a_u = _exp_arg(a, n, us)
-            integral_i = (x - x0) * np.dot(w, np.exp(a_u) * qs)
-            ss = us[:, None] + (x - us)[:, None] * t
-            inner = (x - us) * (np.exp(a_u[:, None] - 2 * _exp_arg(a, n, ss)) @ w)
-            integral_j = (x - x0) * np.dot(w, qs * inner)
-            converged = previous is not None and (
-                abs(integral_i - previous[0]) <= max(1e-12, 1e-10 * abs(integral_i))
-                and abs(integral_j - previous[1]) <= max(1e-10, 1e-8 * abs(integral_j)))
-            if converged or panels >= GL_MAX_PANELS:
-                break
-            previous = integral_i, integral_j
-            panels *= 2
-        big_a = _exp_arg(a, n, x)
-        return math.exp(-big_a) * integral_i, math.exp(big_a) * integral_j
+    while True:
+        t, w = _unit_rule(panels)
+        integral_i = integral_j = 0.0
+        for u, wu in zip((x0 + (x - x0) * tk for tk in t), w):
+            qu, a_u = q(u), _exp_arg(a, n, u)
+            inner = sum(wk * math.exp(a_u - 2 * _exp_arg(a, n, u + (x - u) * tk))
+                        for tk, wk in zip(t, w))
+            integral_i += wu * (math.exp(a_u) * qu)
+            integral_j += wu * (qu * ((x - u) * inner))
+        integral_i, integral_j = (x - x0) * integral_i, (x - x0) * integral_j
+        converged = previous is not None and (
+            abs(integral_i - previous[0]) <= max(1e-12, 1e-10 * abs(integral_i))
+            and abs(integral_j - previous[1]) <= max(1e-10, 1e-8 * abs(integral_j)))
+        if converged or panels >= GL_MAX_PANELS:
+            break
+        previous = integral_i, integral_j
+        panels *= 2
+    big_a = _exp_arg(a, n, x)
+    return math.exp(-big_a) * integral_i, math.exp(big_a) * integral_j
+
+
+def _gauss_legendre(order: int):
+    """Nodes (ascending) and weights of the ``order``-point Gauss-Legendre rule
+    on [-1, 1]: Newton's method on P_order, evaluated with its derivative by
+    the three-term recurrence, from the usual cosine guesses (Press et al.,
+    Numerical Recipes, section 4.6, ``gauleg``)."""
+    def legendre(z):
+        p, p_prev = 1.0, 0.0
+        for j in range(1, order + 1):
+            p, p_prev = ((2 * j - 1) * z * p - (j - 1) * p_prev) / j, p
+        return p, order * (z * p - p_prev) / (z * z - 1)
+
+    nodes, weights = [0.0] * order, [0.0] * order
+    for i in range((order + 1) // 2):
+        z, step = math.cos(math.pi * (i + 0.75) / (order + 0.5)), 1.0
+        while abs(step) > 1e-15:
+            p, dp = legendre(z)
+            step = p / dp
+            z -= step
+        dp = legendre(z)[1]
+        nodes[i], nodes[order - 1 - i] = -z, z
+        weights[i] = weights[order - 1 - i] = 2 / ((1 - z * z) * dp * dp)
+    return nodes, weights
+
+
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(GL_ORDER)
 
 
 def _unit_rule(panels: int):
     """Nodes and weights of the composite Gauss-Legendre rule on [0, 1] with
     ``panels`` equal panels of :data:`GL_ORDER` nodes each."""
-    nodes = (np.arange(panels)[:, None] + (_GL_NODES + 1) / 2) / panels
-    return nodes.ravel(), np.tile(_GL_WEIGHTS / (2 * panels), panels)
+    nodes = [(k + (t + 1) / 2) / panels for k in range(panels) for t in _GL_NODES]
+    return nodes, [w / (2 * panels) for w in _GL_WEIGHTS] * panels
 
 
 def _residual_arrays(sol: NumericSolution, ode: PowerCoefODE):
     xs, phi, y, h = sol.xs, sol.phi, sol.y, sol.h
     a, n = ode.a, ode.n
     q = ode.forcing_callable()
-    qv = np.array([q(x) for x in xs])
-    axn = a * xs ** n
+    qv = [q(x) for x in xs]
+    # x * x is correctly rounded; the libm pow() behind x ** 2 now and then is not
+    axn = [a * (x * x if n == 2 else x ** n) for x in xs]
+    nan = math.nan
 
     # fourth-order centered first derivative, defined on nodes 2..N-2
     def d4(u):
-        out = np.full_like(u, np.nan)
-        out[2:-2] = (-u[4:] + 8 * u[3:-1] - 8 * u[1:-3] + u[:-4]) / (12 * h)
-        return out
+        return [nan, nan, *((-u[k + 2] + 8 * u[k + 1] - 8 * u[k - 1] + u[k - 2]) / (12 * h)
+                            for k in range(2, len(u) - 2)), nan, nan]
 
     # second-order centered second derivative, defined on nodes 1..N-1
     def d2(u):
-        out = np.full_like(u, np.nan)
-        out[1:-1] = (u[2:] - 2 * u[1:-1] + u[:-2]) / (h * h)
-        return out
+        return [nan, *((u[k + 1] - 2 * u[k] + u[k - 1]) / (h * h)
+                       for k in range(1, len(u) - 1)), nan]
 
-    r1 = d4(phi) + axn * phi - qv
-    r2 = d4(y) - axn * y - phi
-    w = np.array([ode.coefficient(x) for x in xs])
-    rfd = d2(y) - w * y - qv
+    r1 = [d + c * p - f for d, c, p, f in zip(d4(phi), axn, phi, qv)]
+    r2 = [d - c * v - p for d, c, v, p in zip(d4(y), axn, y, phi)]
+    rfd = [d - ode.coefficient(x) * v - f for d, x, v, f in zip(d2(y), xs, y, qv)]
     return r1, r2, rfd
 
 
@@ -309,8 +348,4 @@ def residual_varcoef(sol: NumericSolution, ode: PowerCoefODE):
     differences) and of the factored-form second-order equation (centered
     second differences), over the interior nodes."""
     r1, r2, rfd = _residual_arrays(sol, ode)
-    return (
-        float(np.nanmax(np.abs(r1))),
-        float(np.nanmax(np.abs(r2))),
-        float(np.nanmax(np.abs(rfd))),
-    )
+    return _max_abs(r1), _max_abs(r2), _max_abs(rfd)

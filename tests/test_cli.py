@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 
@@ -253,3 +254,42 @@ def test_varcoef_overflow_exit_1(runner):
 def test_varcoef_parse_error_exit_2(runner):
     result = runner.invoke(main, ["varcoef", "1.0", "1", "exp(x**)"])
     assert result.exit_code == 2
+
+
+#: (arguments, exit code, sha256 of stdout, sha256 of stderr), recorded with
+#: the numpy-array implementation of varcoef: every printed digit of the
+#: march, the residuals and the summary is pinned.
+_VARCOEF_PINS = [
+    (["1.0", "1", "exp(x^2/2)"], 0,
+     "f6376b89270fd5f60e7984899762d23df207f9e396d9c7f0b48a8a89ea9be7ff",
+     "fd6c883734a233467b13debd3b6ffd813683ddbddd5abcaffca51e9a9c23fa6a"),
+    (["1.0", "1", "exp(x^2/2)", "--step", "0.01"], 0,
+     "cd65b334e82eba8225a60449152631ba9314d1788d0e9a23816f1a0b9930bc44",
+     "7a10f13eb6cb4cf1f8f3d43983293f7a4e4fb0db0fa7aab05fc12cbc1be331fa"),
+    (["1.5", "0", "sin(x)"], 0,
+     "225fdc25774ecf7fcb4c1c7577c90887d20d6bf2186a32425022b99dc1f22352",
+     "e5fd2db66a89d332a6709694d9ad16a9420439ade0981924cad3b48d9fa1e0c4"),
+    (["0.5", "2", "cos(3*x) + x", "--x0", "1", "--x1", "2"], 0,
+     "74b7eda330501b3b880e1335dabb29c85c0e9cb331dcf0e9ffe734b838bb3451",
+     "fad4d1e1a45ff54a000d2f0e7c6fb1f190898cf49c7ea2ebd7f8105c8f9cba17"),
+    (["1.0", "1", "ln(x)", "--x0", "0.5", "--x1", "2"], 0,
+     "14023c97e2dd2a98d228137157d373956e4063b1ff621856dee0a3c30fe92e9e",
+     "3b8e91ad3e44365d653db4853b80d6745f6c515a00313ae0289707839156bf32"),
+    # n = 2 on a grid with a node where pow(x, 2) and x * x round apart
+    (["--x0", "-3", "--x1", "-2", "--", "0.5", "2", "cos(x)"], 0,
+     "2ab57fcd0bbe078883f98c8be95ec87f0bedaba484c322e79547e7b53100cfb2",
+     "11f4e706af78b62a46e2dce3b3de57c722ebe736da10c64f007e2602c2d7af22"),
+    # stderr: "error: stage residuals 5.811e-04, 1.496e-03 exceed 1.0e-06; reduce h"
+    (["1.0", "1", "exp(x^2/2)", "--step", "0.25"], 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "176759b1d8ed3900753f1f4c5e1d82155a61135ef6808004a99b693fd37abdd0"),
+]
+
+
+@pytest.mark.parametrize("args, code, out_sha, err_sha", _VARCOEF_PINS,
+                         ids=[" ".join(pin[0]) for pin in _VARCOEF_PINS])
+def test_varcoef_output_pinned(runner, args, code, out_sha, err_sha):
+    result = runner.invoke(main, ["varcoef", *args])
+    assert result.exit_code == code, result.stderr
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == out_sha
+    assert hashlib.sha256(result.stderr.encode()).hexdigest() == err_sha

@@ -1,5 +1,6 @@
-"""Import footprint: the CLI loads numpy only for the commands that use
-arrays, and nothing needs scipy.  Each check runs in a fresh interpreter."""
+"""Import footprint: the package and every CLI command, varcoef included,
+run on the standard library and click alone; neither numpy nor scipy is
+needed or loaded.  The subprocess checks run in a fresh interpreter."""
 
 import os
 import subprocess
@@ -27,18 +28,18 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_varcoef_runs_without_scipy():
+def test_varcoef_runs_without_numpy_or_scipy():
     proc = _run("""
         import runpy
         import sys
 
-        class BlockScipy:
+        class Block:
             def find_spec(self, name, path=None, target=None):
-                if name == "scipy" or name.startswith("scipy."):
+                if name.partition(".")[0] in ("numpy", "scipy"):
                     raise ImportError(f"{name} is blocked")
                 return None
 
-        sys.meta_path.insert(0, BlockScipy())
+        sys.meta_path.insert(0, Block())
         import odecascade
         assert callable(odecascade.solve_varcoef)
         sys.argv = ["odecascade", "varcoef", "1.0", "1", "exp(x^2/2)"]
@@ -51,7 +52,7 @@ def test_varcoef_runs_without_scipy():
     assert "max residuals" in proc.stderr
 
 
-def test_lazy_varcoef_names_resolve():
+def test_varcoef_names_are_reexported():
     import odecascade
     from odecascade import varcoef
 

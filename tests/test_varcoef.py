@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from odecascade import (
     NotFactorable,
@@ -13,7 +14,7 @@ from odecascade import (
     residual_varcoef,
     solve_varcoef,
 )
-from odecascade.varcoef import _closed_forms, _cross_check
+from odecascade.varcoef import _GL_NODES, _GL_WEIGHTS, GL_ORDER, _closed_forms, _cross_check
 
 
 # ---------------------------------------------------------------------------
@@ -57,8 +58,8 @@ def test_degenerate_double_integration_is_exact():
     # a = 0, q = 2, zero initial values at 0: y = x^2 exactly
     ode = PowerCoefODE(0.0, 0, lambda x: 2.0, 0.0, 1.0)
     sol = solve_varcoef(ode, 1e-2)
-    assert np.max(np.abs(sol.y - sol.xs ** 2)) < 1e-13
-    assert np.max(np.abs(sol.phi - 2 * sol.xs)) < 1e-13
+    assert max(abs(y - x ** 2) for x, y in zip(sol.xs, sol.y)) < 1e-13
+    assert max(abs(phi - 2 * x) for x, phi in zip(sol.xs, sol.phi)) < 1e-13
     assert sol.max_fd_residual < 1e-10  # quadratic is exact for centered diffs
 
 
@@ -75,7 +76,7 @@ def test_manufactured_solution_stage_residuals():
 def test_forcing_as_expr():
     ode = PowerCoefODE(0.0, 0, parse_forcing("2*x"), 0.0, 1.0)
     sol = solve_varcoef(ode, 1e-2)
-    assert np.max(np.abs(sol.y - sol.xs ** 3 / 3)) < 1e-12
+    assert max(abs(y - x ** 3 / 3) for x, y in zip(sol.xs, sol.y)) < 1e-12
 
 
 def test_convergence_rates_under_halving():
@@ -137,6 +138,24 @@ def test_closed_forms_match_elementary_solutions():
         assert got_y == pytest.approx(x ** 4 / 4, rel=1e-12, abs=0)
 
 
+def test_gauss_legendre_rule_matches_numpy():
+    nodes, weights = leggauss(GL_ORDER)
+    assert len(_GL_NODES) == len(_GL_WEIGHTS) == GL_ORDER
+    assert max(abs(a - b) for a, b in zip(_GL_NODES, nodes)) <= 1e-15
+    assert max(abs(a - b) for a, b in zip(_GL_WEIGHTS, weights)) <= 1e-15
+
+
+@pytest.mark.parametrize("count", [5, 6, 7, 11, 101, 1001, 1501])
+@pytest.mark.parametrize("probe_points", [1, 2, 3, 5, 7, 10, 64])
+def test_probe_nodes_match_numpy(count, probe_points):
+    ode = PowerCoefODE(1.0, 1, lambda x: math.exp(x * x / 2), 0.0, 1.0)
+    sol = solve_varcoef(ode, 1.0 / (count - 1), stage_tol=math.inf, probe_points=0)
+    assert len(sol.xs) == count
+    _cross_check(sol, ode, probe_points, math.inf)
+    idx = np.unique(np.linspace(1, count - 1, probe_points).astype(int))
+    assert list(sol.probe_xs) == [sol.xs[i] for i in idx]
+
+
 @pytest.mark.parametrize("attr", ["phi", "y"])
 def test_cross_check_catches_perturbed_probe(attr):
     ode = PowerCoefODE(1.0, 1, lambda x: math.exp(x * x / 2), 0.0, 1.0)
@@ -144,6 +163,15 @@ def test_cross_check_catches_perturbed_probe(attr):
     node = int(np.searchsorted(sol.xs, sol.probe_xs[2]))
     getattr(sol, attr)[node] += 1e-4
     with pytest.raises(StepTooLarge):
+        _cross_check(sol, ode, 5, 1e-6)
+
+
+def test_cross_check_overflow_is_guarded():
+    # a = -1 on [0, 500]: the march stays finite, but the closed forms need
+    # e^(A(u) - 2 A(s)) = e^(2s - u), past the double range beyond s ~ 355
+    ode = PowerCoefODE(-1.0, 0, lambda x: 1.0, 0.0, 500.0)
+    sol = solve_varcoef(ode, 1.0, stage_tol=math.inf, probe_points=0)
+    with pytest.raises(OverflowGuard, match="closed-form cross-check is not finite"):
         _cross_check(sol, ode, 5, 1e-6)
 
 
