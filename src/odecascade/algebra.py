@@ -15,10 +15,19 @@ Antidifferentiation and the cascade's first-order stages share one kernel,
 :func:`solve_stage`, which solves phi' - r*phi = e one rate at a time: the
 part P(t) e^(lam t) of e gives Q(t) e^(lam t) with Q' + mu*Q = P,
 mu = lam - r.  The exact backend back-substitutes Q from the top power down
-(O(K) divisions for degree K).  The float backend keeps the
+on integers (O(K) steps for degree K).  The float backend keeps the
 integration-by-parts chain of each term (O(K^2)) and the rounding of the
 multiply-integrate-multiply route: the float residual test is scaled by the
 size of its inputs, so changed last bits would flip borderline verdicts.
+
+The exact kernels (the stage's back-substitution, the exponential-shift
+identity behind the verifier's ``apply_operator`` and the real part the
+cascade takes of a real problem's answer) share one layout for a rate group:
+its Gaussian-rational coefficients as Gaussian-integer numerator pairs
+(a, b) over one positive denominator, the lcm of the parts' denominators
+(:func:`_numerators`).  The work runs on those integers, and each result
+is turned back into a :class:`GaussianRational` with one gcd per part
+(:func:`_rational`), the fraction-free idea of Bareiss (Math. Comp. 1968).
 
 ``k`` may be negative so that differentiation never leaves the algebra
 (d/dt ln t = 1/t); the parser and the solvers only ever produce k >= 0.
@@ -333,18 +342,40 @@ def _parts_chain(coeff, k: int, mu) -> list:
     return out
 
 
+def _numerators(values) -> tuple[list, int]:
+    """A collection of exact ``values`` as Gaussian-integer numerator pairs
+    over one positive denominator: ``([(a, b), ...], den)`` with
+    value = (a + b i) / den and den the lcm of the parts' denominators."""
+    den = math.lcm(*[d for v in values for d in (v.re.denominator, v.im.denominator)])
+    return [(v.re.numerator * (den // v.re.denominator),
+             v.im.numerator * (den // v.im.denominator)) for v in values], den
+
+
+def _rational(a: int, b: int, den: int) -> GaussianRational:
+    """(a + b i) / den for den > 0, reduced with one gcd per part."""
+    return GaussianRational(Fraction(a, den), Fraction(b, den))
+
+
 def _back_substitute(p: dict, mu) -> dict:
-    # Q' + mu Q = P top down: q_j = (p_j - (j+1) q_{j+1}) / mu, mu != 0.
-    # One division per power, so O(K) for a degree-K group.
-    inv = 1 / mu
+    # Q' + mu Q = P top down, mu != 0, on integer numerators.  With
+    # p_j = P_j / L and 1/mu = u / D (u = md conj(mu_num), D = |mu_num|^2),
+    # q_j = N_j / (L D^(K-j+1)) where N_j = (P_j D^(K-j) - (j+1) N_{j+1}) u.
+    # O(K) integer steps for a degree-K group, one reduction per output.
+    [(mr, mi)], md = _numerators([mu])
+    ur, ui = md * mr, -md * mi
+    d = mr * mr + mi * mi
+    pairs, den = _numerators(p.values())
+    num = dict(zip(p, pairs))
     q = {}
-    carry = None  # (j+1) q_{j+1}
+    nr = ni = 0  # N_{j+1}
+    dpow = 1     # D^(K-j)
     for j in range(max(p), -1, -1):
-        c = p.get(j)
-        if carry is not None:
-            c = -carry if c is None else c - carry
-        q[j] = c * inv
-        carry = q[j] * j
+        pr, pi = num.get(j, (0, 0))
+        cr = pr * dpow - (j + 1) * nr
+        ci = pi * dpow - (j + 1) * ni
+        nr, ni = cr * ur - ci * ui, cr * ui + ci * ur
+        dpow *= d
+        q[j] = _rational(nr, ni, den * dpow)
     return q
 
 
@@ -355,8 +386,10 @@ def solve_stage(r, e: Expr) -> Expr:
     Q' + mu*Q = P, mu = lam - r.  At mu = 0 (resonance) Q is the
     polynomial/log antiderivative of P.  Otherwise Q is back-substituted on
     the exact backend and built by the integration-by-parts chain on floats
-    (see the module docstring); on floats mu is snapped among the shifted
-    rates as :func:`normalize` does, so resonance is found within
+    (see the module docstring).  The exact back-substitution is an integer
+    recurrence on the group's Gaussian-integer numerators, reduced once per
+    output coefficient.  On floats mu is snapped among the
+    shifted rates as :func:`normalize` does, so resonance is found within
     tolerance, and each output term has rate mu + r.  ``r = 0`` is
     :func:`antiderivative`.
 
@@ -425,6 +458,75 @@ def antiderivative(e: Expr) -> Expr:
     of t (the result would need exponential-integral functions).
     """
     return solve_stage(0, e)
+
+
+def _apply_by_shift(coeffs, y: Expr) -> Expr:
+    """p(D) y for exact real coefficients a_0..a_n and an exact y, by the
+    exponential-shift identity (see :func:`odecascade.verify.apply_operator`)."""
+    n = len(coeffs) - 1
+    ad = math.lcm(*[a.denominator for a in coeffs])
+    big_a = [a.numerator * (ad // a.denominator) for a in coeffs]
+    out = []
+    for lam, terms in groupby(y.terms, attrgetter("exponent")):
+        terms = list(terms)
+        # c_i * ad * ld^n = sum_k A_k C(k, i) lam_num^(k-i) ld^(n-k+i)
+        [(lr, li)], ld = _numerators([lam])
+        lam_pow, ld_pow = [(1, 0)], [1]
+        for _ in range(n):
+            pr, pi = lam_pow[-1]
+            lam_pow.append((pr * lr - pi * li, pr * li + pi * lr))
+            ld_pow.append(ld_pow[-1] * ld)
+        pairs, fd = _numerators([t.coeff for t in terms])
+        f = {(t.tpow, t.logpow): pair for t, pair in zip(terms, pairs)}
+        acc: dict = {}
+        for i in range(n + 1):
+            if i:
+                f = _diff_numerators(f)
+            cr = ci = 0
+            for k in range(i, n + 1):
+                if big_a[k]:
+                    s = big_a[k] * math.comb(k, i) * ld_pow[n - k + i]
+                    cr += s * lam_pow[k - i][0]
+                    ci += s * lam_pow[k - i][1]
+            if cr or ci:
+                for key, (a, b) in f.items():
+                    sr, si = acc.get(key, (0, 0))
+                    acc[key] = (sr + cr * a - ci * b, si + cr * b + ci * a)
+        den = ad * ld_pow[n] * fd
+        out.extend(Term(_rational(a, b, den), k, m, lam)
+                   for (k, m), (a, b) in sorted(acc.items()) if a or b)
+    # y is canonical, so its rates come sorted and each key appears once
+    return Expr(out, _canonical=True)
+
+
+def _diff_numerators(f: dict) -> dict:
+    # d/dt t^k ln(t)^m = k t^(k-1) ln(t)^m + m t^(k-1) ln(t)^(m-1)
+    out: dict = {}
+    for (k, m), (a, b) in f.items():
+        for mult, key in ((k, (k - 1, m)), (m, (k - 1, m - 1))):
+            if mult:
+                sr, si = out.get(key, (0, 0))
+                out[key] = (sr + mult * a, si + mult * b)
+    return out
+
+
+def _real_part(y: Expr) -> Expr:
+    """(y + conj(y)) / 2 of an exact y in one pass: the coefficient at
+    (tpow, logpow, lam) is (c + conj(c')) / 2, with c' the coefficient at
+    (tpow, logpow, conj(lam)), summed on Gaussian-integer numerators."""
+    groups = {lam: list(terms) for lam, terms in groupby(y.terms, attrgetter("exponent"))}
+    rates = set(groups) | {lam.conjugate() for lam in groups}
+    out = []
+    for lam in sorted(rates, key=attrgetter("re", "im")):
+        mine, theirs = groups.get(lam, []), groups.get(lam.conjugate(), [])
+        pairs, den = _numerators([t.coeff for t in mine + theirs])
+        acc = {(t.tpow, t.logpow): pair for t, pair in zip(mine, pairs)}
+        for t, (a, b) in zip(theirs, pairs[len(mine):]):
+            sr, si = acc.get((t.tpow, t.logpow), (0, 0))
+            acc[t.tpow, t.logpow] = (sr + a, si - b)
+        out.extend(Term(_rational(a, b, 2 * den), k, m, lam)
+                   for (k, m), (a, b) in sorted(acc.items()) if a or b)
+    return Expr(out, _canonical=True)
 
 
 def evaluate(e, t: float):

@@ -15,15 +15,21 @@ float backend keeps the integration-by-parts chain so its rounding, and the
 float residual verdicts, stay as they were.  Resonant forcings need no
 special casing: when a forcing rate equals the stage root, lam - r = 0 and
 the antiderivative simply gains a power of t.
+
+For a real problem the answer is replaced by its real part
+(y + conj(y)) / 2, which differs from it by a homogeneous solution.  An
+exact answer is symmetrized in one pass, each key (tpow, logpow, lam)
+paired with (tpow, logpow, conj(lam)) and summed on Gaussian-integer
+numerators (:func:`odecascade.algebra._real_part`); a float answer keeps
+the scaled sum of the answer and its conjugate.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
-from .algebra import Expr, RealExpr, realify, scale, solve_stage
+from .algebra import Expr, RealExpr, _real_part, realify, scale, solve_stage
 from .errors import NotClosedForm, NotConjugateSymmetric, VerificationFailed
 from .model import LinearODE
 from .roots import characteristic, find_roots
@@ -114,8 +120,7 @@ def cascade(roots_seq, q: Expr, a_n=1) -> CascadeTrace:
     if _roots_conjugate_closed([st.root for st in stages]) and _forcing_symmetric(q):
         # Real problem: drop the skew part, which is a homogeneous solution,
         # so the result is a real function.
-        half = GaussianRational(Fraction(1, 2)) if y_p.is_exact() else 0.5
-        y_p = scale(half, y_p + y_p.conjugate())
+        y_p = _real_part(y_p) if y_p.is_exact() else scale(0.5, y_p + y_p.conjugate())
         try:
             y_real = realify(y_p)
         except NotConjugateSymmetric:

@@ -1,6 +1,7 @@
 """Symbolic verification and the undetermined-coefficients oracle.
 
-``apply_operator`` applies the full differential operator to a candidate;
+``apply_operator`` applies the full differential operator to a candidate
+(by the exponential-shift identity on exact data, see its docstring);
 ``residual_symbolic`` automates the "substitute into the original equation"
 check.  ``oracle_undetermined_coefficients`` computes a particular solution
 by a completely different route (ansatz plus a triangular linear solve), so
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import REL_EPS, Expr, Term, differentiate, normalize, scale
+from .algebra import REL_EPS, Expr, Term, _apply_by_shift, differentiate, normalize, scale
 from .errors import LogForcingUnsupported
 from .model import LinearODE
 from .roots import CharPoly, characteristic
@@ -34,7 +35,22 @@ class Residual:
 
 
 def apply_operator(ode: LinearODE, y: Expr) -> Expr:
-    """Sum a_k * d^k y / dt^k, normalized."""
+    """Sum a_k * d^k y / dt^k, normalized.
+
+    With exact coefficients and an exact ``y`` the operator is applied per
+    rate lam by the exponential-shift identity
+
+        p(D)[f e^(lam t)] = e^(lam t) * sum_i c_i f^(i),
+        c_i = p^(i)(lam) / i! = sum_k a_k C(k, i) lam^(k-i),
+
+    where f^(i) differentiates only the t^k ln(t)^m part (so logs and
+    negative powers are covered).  The sum runs on Gaussian-integer
+    numerators (:func:`odecascade.algebra._apply_by_shift`) and each output
+    coefficient is reduced once.  Any float pair is differentiated k times
+    and scaled, as the float residual verdicts expect.
+    """
+    if y.is_exact() and all(isinstance(a, Fraction) for a in ode.coeffs):
+        return _apply_by_shift(ode.coeffs, y)
     out = Expr.zero()
     d = y
     for k, a in enumerate(ode.coeffs):
