@@ -387,33 +387,16 @@ def _lower(node, variables: set) -> Expr:
 
 
 def _power(base: Expr, n: int) -> Expr:
-    """base^n for n >= 0, the same canonical Expr as n multiplies (lowering
-    is exact, so the order of the products does not matter).
-
-    When base^2 has fewer than twice base's terms, as when base's keys lie
-    on a line in an arithmetic progression (one term, t + 1, e^t + e^(2t)),
-    base^k has O(k) terms and repeated squaring does fewer term products
-    than n multiplies.  Keys spread over two or more directions
-    (e^t + sin(t)) give O(k^2) or more terms, where the last squarings cost
-    more than all n multiplies together, so those keep multiplying by base.
-    """
-    if n < 2:
-        return base if n else const(1)
-    square = multiply(base, base)
-    if len(square) >= 2 * len(base):
-        out = square
-        for _ in range(n - 2):
-            out = multiply(out, base)
-        return out
-    out = base if n & 1 else const(1)
-    n >>= 1
-    while True:  # square = base^(2^i) at bit i of the original n
+    """base^n for n >= 0 by repeated squaring: the same canonical Expr as n
+    multiplies, because lowering is exact."""
+    out, square = const(1), base
+    while n:  # square = base^(2^i) at bit i of the original n
         if n & 1:
             out = multiply(out, square)
         n >>= 1
-        if not n:
-            return out
-        square = multiply(square, square)
+        if n:
+            square = multiply(square, square)
+    return out
 
 
 def _lower_call(node: _Call, variables: set) -> Expr:

@@ -224,8 +224,8 @@ def test_real_part_cancels_skew_terms_to_zero():
     ("3/2*t*exp(-t)", range(65)),
     ("1+t+t^2", range(0, 65, 16)),
     ("exp(t)+exp(2*t)+exp(3*t)", range(0, 65, 16)),
-    # two rate directions: base^n has O(n^2) terms and is multiplied out n
-    # times; n = 64 takes seconds on either route, so the sweep stops at 24
+    # two rate directions: base^n has O(n^2) terms and n = 64 takes seconds
+    # on either route, so the sweep stops at 24
     ("exp(t)+sin(t)", list(range(17)) + [24]),
 ])
 def test_powers_equal_successive_multiplies(base, powers):
