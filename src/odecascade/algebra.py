@@ -217,10 +217,10 @@ class Expr:
     def eval(self, t: float):
         return evaluate(self, t)
 
-    def realify(self, eps: float = REL_EPS) -> "RealExpr":
-        return realify(self, eps)
+    def realify(self) -> "RealExpr":
+        return realify(self)
 
-    def approx_equal(self, other: "Expr", eps: float = REL_EPS) -> bool:
+    def approx_equal(self, other: "Expr") -> bool:
         """Equality within the approximate backend's zero test.
 
         Exact expressions compare structurally; otherwise the difference must
@@ -230,17 +230,17 @@ class Expr:
             return self == other
         diff = self.to_float() - other.to_float()
         scale_ref = max(self.max_coeff_mag(), other.max_coeff_mag(), 1.0)
-        return all(abs(t.coeff) <= eps * scale_ref for t in diff.terms)
+        return all(abs(t.coeff) <= REL_EPS * scale_ref for t in diff.terms)
 
 
-def _canonicalize(terms, eps: float = REL_EPS) -> tuple:
+def _canonicalize(terms) -> tuple:
     terms = [t if isinstance(t, Term) else Term(*t) for t in terms]
     if not terms:
         return ()
     exact = all(t.is_exact() for t in terms)
     if not exact:
         terms = [_term_to_float(t) for t in terms]
-        terms = _snap_exponents(terms, eps)
+        terms = _snap_exponents(terms, REL_EPS)
 
     merged: dict[tuple, object] = {}
     for t in terms:
@@ -254,7 +254,7 @@ def _canonicalize(terms, eps: float = REL_EPS) -> tuple:
         out = [t for t in out if t.coeff]
     else:
         scale_ = max((abs(t.coeff) for t in out), default=0.0)
-        out = [t for t in out if abs(t.coeff) > eps * scale_]
+        out = [t for t in out if abs(t.coeff) > REL_EPS * scale_]
     out.sort(key=_sort_key)
     return tuple(out)
 
@@ -263,11 +263,11 @@ def _canonicalize(terms, eps: float = REL_EPS) -> tuple:
 # module-level operations
 # ---------------------------------------------------------------------------
 
-def normalize(raw, eps: float = REL_EPS) -> Expr:
+def normalize(raw) -> Expr:
     """Canonical form of a list of terms (merge keys, drop zeros, sort)."""
     if isinstance(raw, Expr):
         raw = raw.terms
-    return Expr(_canonicalize(raw, eps), _canonical=True)
+    return Expr(_canonicalize(raw), _canonical=True)
 
 
 def add(a: Expr, b: Expr) -> Expr:
@@ -643,17 +643,17 @@ class RealExpr:
         """Embed back into the complex-exponential algebra."""
         out = []
         for rt in self.terms:
-            c = _real_scalar_to_scalar(rt.coeff)
-            alpha = _real_scalar_to_scalar(rt.alpha)
-            beta = _real_scalar_to_scalar(rt.beta)
-            if _scalar_is_zero(beta):
+            c, alpha, beta = as_scalar(rt.coeff), as_scalar(rt.alpha), as_scalar(rt.beta)
+            if not beta:
                 if rt.kind == COS:
                     out.append(Term(c, rt.tpow, rt.logpow, alpha))
                 continue
-            i = _imag_unit_like(c, alpha, beta)
+            if is_exact(c):
+                i, half = GaussianRational(0, 1), GaussianRational(Fraction(1, 2))
+            else:
+                i, half = 1j, 0.5
             lam_p = alpha + i * beta
             lam_m = alpha - i * beta
-            half = _half_like(c)
             if rt.kind == COS:
                 out.append(Term(c * half, rt.tpow, rt.logpow, lam_p))
                 out.append(Term(c * half, rt.tpow, rt.logpow, lam_m))
@@ -663,29 +663,7 @@ class RealExpr:
         return normalize(out)
 
 
-def _real_scalar_to_scalar(v):
-    if isinstance(v, (int, Fraction)):
-        return GaussianRational(v)
-    return complex(v)
-
-
-def _scalar_is_zero(v) -> bool:
-    return not v
-
-
-def _imag_unit_like(*values):
-    if all(isinstance(v, GaussianRational) for v in values):
-        return GaussianRational(0, 1)
-    return 1j
-
-
-def _half_like(c):
-    if isinstance(c, GaussianRational):
-        return GaussianRational(Fraction(1, 2))
-    return 0.5
-
-
-def _canonicalize_real(terms, eps: float = REL_EPS) -> tuple:
+def _canonicalize_real(terms) -> tuple:
     # sin(0*t) is the zero function, so beta = 0 sine terms drop out
     terms = [t for t in terms if not (t.kind == SIN and not t.beta)]
     if not terms:
@@ -709,7 +687,7 @@ def _canonicalize_real(terms, eps: float = REL_EPS) -> tuple:
         out = [t for t in out if t.coeff]
     else:
         scale_ = max((abs(t.coeff) for t in out), default=0.0)
-        out = [t for t in out if abs(t.coeff) > eps * scale_]
+        out = [t for t in out if abs(t.coeff) > REL_EPS * scale_]
     out.sort(key=lambda t: (t.alpha, t.beta, t.tpow, t.logpow, t.kind))
     return tuple(out)
 
@@ -725,109 +703,49 @@ def _evaluate_real(e: RealExpr, t: float) -> float:
     return total
 
 
-def realify(e: Expr, eps: float = REL_EPS) -> RealExpr:
+def realify(e: Expr) -> RealExpr:
     """Rewrite a conjugate-symmetric expression in the cos/sin real basis.
 
-    Every term with rate lam, Im lam != 0, must be matched by a term with the
-    conjugate rate and conjugate coefficient (exactly in the exact backend,
-    within the relative zero test otherwise); purely real rates must carry
-    real coefficients.  Raises :class:`NotConjugateSymmetric` otherwise.
+    Every term at (tpow, logpow, lam) must be matched by the conjugate
+    coefficient at (tpow, logpow, conj(lam)), a real-rate term by itself:
+    exactly in the exact backend, within the relative zero test otherwise,
+    where a float rate whose conjugate is not a key takes the nearest key
+    within the rate tolerance.  Raises :class:`NotConjugateSymmetric` for any
+    term without such a partner.
     """
     exact = e.is_exact()
     if not exact:
         # Float tolerances only: an exact path compares exactly and never
         # converts a coefficient to float (10^400 would overflow).
-        coeff_scale = max(e.max_coeff_mag(), 1.0)
+        coeff_tol = REL_EPS * max(e.max_coeff_mag(), 1.0)
         rate_scale = max((abs(t.exponent) for t in e.terms), default=0.0)
-        rate_tol = eps * max(1.0, rate_scale)
-
-    def im_of(lam):
-        return lam.im if isinstance(lam, GaussianRational) else lam.imag
-
-    def re_of(lam):
-        return lam.re if isinstance(lam, GaussianRational) else lam.real
+        rate_tol = REL_EPS * max(1.0, rate_scale)
 
     by_key = {t.key: t.coeff for t in e.terms}
-    consumed = set()
     out = []
-
     for t in e.terms:
-        if t.key in consumed:
-            continue
-        lam = t.exponent
-        lam_im = im_of(lam)
-        if not lam_im:
-            c = t.coeff
-            c_im = c.im if isinstance(c, GaussianRational) else c.imag
-            if exact:
-                if c_im:
-                    raise NotConjugateSymmetric(
-                        f"real-rate term has complex coefficient {c}"
-                    )
-                r = c.re
-            else:
-                if abs(c_im) > eps * coeff_scale:
-                    raise NotConjugateSymmetric(
-                        f"real-rate term has complex coefficient {c}"
-                    )
-                r = c.real
-            alpha = re_of(lam)
-            out.append(RealTerm(r, t.tpow, t.logpow, alpha, type(alpha)(0), COS))
-            consumed.add(t.key)
-            continue
-
-        if lam_im < 0:
-            # handled when its positive-imaginary partner is visited
-            continue
-
-        partner_key = (t.tpow, t.logpow, _conj_scalar(lam))
-        partner = by_key.get(partner_key)
+        lam, c = t.exponent, t.coeff
+        target = lam.conjugate()
+        partner = by_key.get((t.tpow, t.logpow, target))
         if partner is None and not exact:
-            # tolerant search: the clustered float rates need not be
-            # bitwise-conjugate
-            target = _conj_scalar(lam)
-            best = None
-            for key in by_key:
-                if key in consumed or key[0] != t.tpow or key[1] != t.logpow:
-                    continue
-                if im_of(key[2]) >= 0:
-                    continue
-                d = abs(complex(key[2]) - complex(target))
-                if d <= rate_tol and (best is None or d < best[0]):
-                    best = (d, key)
-            if best is not None:
-                partner_key = best[1]
-                partner = by_key[partner_key]
+            # the clustered float rates need not be bitwise-conjugate
+            key = min((k for k in by_key if k[:2] == t.key[:2]),
+                      key=lambda k: abs(k[2] - target))
+            if abs(key[2] - target) <= rate_tol:
+                partner = by_key[key]
         if partner is None:
             raise NotConjugateSymmetric(
                 f"no conjugate partner for rate {lam} (tpow={t.tpow}, logpow={t.logpow})"
             )
-
-        c = t.coeff
-        mismatch = partner - _conj_scalar(c)
-        if exact:
-            if mismatch:
-                raise NotConjugateSymmetric(
-                    f"coefficients at rates {lam}, {_conj_scalar(lam)} are not conjugate"
-                )
-        elif abs(mismatch) > eps * coeff_scale:
+        if (partner != c.conjugate()) if exact else abs(partner - c.conjugate()) > coeff_tol:
             raise NotConjugateSymmetric(
-                f"coefficients at rates {lam}, {_conj_scalar(lam)} are not conjugate"
+                f"coefficients at rates {lam}, {target} are not conjugate"
             )
-
-        alpha = re_of(lam)
-        beta = lam_im
-        if exact:
-            r_cos = 2 * c.re
-            r_sin = -2 * c.im
-        else:
-            r_cos = 2.0 * c.real
-            r_sin = -2.0 * c.imag
-        out.append(RealTerm(r_cos, t.tpow, t.logpow, alpha, beta, COS))
-        out.append(RealTerm(r_sin, t.tpow, t.logpow, alpha, beta, SIN))
-        consumed.add(t.key)
-        consumed.add(partner_key)
-
+        if lam.imag > 0:
+            out.append(RealTerm(2 * c.real, t.tpow, t.logpow, lam.real, lam.imag, COS))
+            out.append(RealTerm(-2 * c.imag, t.tpow, t.logpow, lam.real, lam.imag, SIN))
+        elif not lam.imag:
+            out.append(RealTerm(c.real, t.tpow, t.logpow, lam.real))
     return RealExpr(out)
 
 

@@ -34,6 +34,7 @@ from .errors import NotClosedForm, NotConjugateSymmetric, VerificationFailed
 from .model import LinearODE
 from .roots import characteristic, find_roots
 from .scalars import GaussianRational, as_scalar, conj as _conj, is_exact
+from .verify import residual_symbolic
 
 
 @dataclass(frozen=True)
@@ -88,12 +89,6 @@ def _roots_conjugate_closed(seq) -> bool:
     return True
 
 
-def _forcing_symmetric(q: Expr) -> bool:
-    if q.is_exact():
-        return q.conjugate() == q
-    return q.conjugate().approx_equal(q)
-
-
 def cascade(roots_seq, q: Expr, a_n=1) -> CascadeTrace:
     """Run every stage across the given root sequence.
 
@@ -117,7 +112,7 @@ def cascade(roots_seq, q: Expr, a_n=1) -> CascadeTrace:
 
     y_p = g
     y_real = None
-    if _roots_conjugate_closed([st.root for st in stages]) and _forcing_symmetric(q):
+    if _roots_conjugate_closed([st.root for st in stages]) and q.conjugate().approx_equal(q):
         # Real problem: drop the skew part, which is a homogeneous solution,
         # so the result is a real function.
         y_p = _real_part(y_p) if y_p.is_exact() else scale(0.5, y_p + y_p.conjugate())
@@ -137,8 +132,6 @@ def particular_solution(ode: LinearODE):
     result is checked against the equation before returning; a nonzero
     residual raises :class:`VerificationFailed` (internal bug guard).
     """
-    from .verify import residual_symbolic
-
     rootset = find_roots(characteristic(ode))
     q = ode.forcing
     a_n = ode.coeffs[-1]

@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
 
 import click
 
@@ -25,6 +24,7 @@ from .cascade import particular_solution
 from .errors import NotClosedForm, OdeCascadeError, ParseError, VerificationFailed
 from .parsing import (
     _digit_limit,
+    _real_part_json,
     _render_terms,
     expr_to_json_terms,
     parse_numeric_function,
@@ -71,12 +71,6 @@ class _Main(click.Group):
             where = f" at {span.start}..{span.end}" if span else ""
             code = next((c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls)), 1)
             _fail(f"{exc}{where}", code)
-
-
-def _coeff_json(c):
-    if isinstance(c, Fraction):
-        return [c.numerator, c.denominator]
-    return float(c)
 
 
 def _roots_json(rootset) -> list:
@@ -157,7 +151,7 @@ def solve(ode_text, as_json, as_latex, show_steps, force_exact, force_float):
         if as_json:
             report = json.dumps({
                 "ode": {
-                    "coeffs": [_coeff_json(c) for c in ode.coeffs],
+                    "coeffs": [_real_part_json(c) for c in ode.coeffs],
                     "forcing": expr_to_json_terms(ode.forcing),
                 },
                 "roots": _roots_json(trace.roots),

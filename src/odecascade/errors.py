@@ -81,7 +81,8 @@ class OverflowGuard(OdeCascadeError):
 
 
 class LogForcingUnsupported(OdeCascadeError):
-    """The undetermined-coefficients oracle got a forcing with logarithm terms."""
+    """The undetermined-coefficients oracle got a forcing with logarithm terms
+    or negative powers of t."""
 
 
 class VerificationFailed(OdeCascadeError):

@@ -35,6 +35,7 @@ from .algebra import (
     scale,
     term as make_term,
 )
+from .cascade import CascadeTrace
 from .errors import (
     NotLinearConstantCoefficient,
     OverflowGuard,
@@ -911,8 +912,6 @@ def render(obj, style: str = "plain", var: str = "t") -> str:
     :class:`OverflowGuard` when a coefficient has more digits than Python
     converts to text.
     """
-    from .cascade import CascadeTrace  # local import to avoid a cycle
-
     if style not in ("plain", "latex", "json"):
         raise ValueError(f"unknown style {style!r}")
     with _digit_limit():

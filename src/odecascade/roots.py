@@ -20,6 +20,9 @@ from .scalars import GaussianRational, rational_sqrt
 
 NUMERIC_DEGREE_CAP = 12
 
+#: Most Aberth sweeps the numeric root finder runs before its residual check.
+_MAX_SWEEPS = 200
+
 #: Roots closer than CLUSTER_RADIUS * (1 + max|root|) merge into one entry.
 #: Multiple roots perturb as tol**(1/m), so this is much looser than the
 #: residual tolerance.
@@ -113,8 +116,7 @@ class RootSet:
         return tuple(out)
 
 
-def find_roots(p: CharPoly, tol: float = 1e-10, method: str = "auto",
-               max_sweeps: int = 200) -> RootSet:
+def find_roots(p: CharPoly, tol: float = 1e-10, method: str = "auto") -> RootSet:
     """All complex roots of p with multiplicities, exact where possible.
 
     ``method`` is "auto" (exact path when the coefficients are rational,
@@ -152,7 +154,7 @@ def find_roots(p: CharPoly, tol: float = 1e-10, method: str = "auto",
         raise NonConvergence("exact root finding needs rational coefficients", ())
 
     if remaining is not None:
-        entries.extend(_numeric_roots(remaining, tol, max_sweeps))
+        entries.extend(_numeric_roots(remaining, tol))
 
     return RootSet(tuple(entries))
 
@@ -287,7 +289,7 @@ def _residual_bound(coeffs: list[complex], z: complex) -> float:
     return s
 
 
-def _numeric_roots(p: CharPoly, tol: float, max_sweeps: int) -> list[RootEntry]:
+def _numeric_roots(p: CharPoly, tol: float) -> list[RootEntry]:
     degree = p.degree
     if degree > NUMERIC_DEGREE_CAP:
         raise DegreeLimitExceeded(
@@ -314,7 +316,7 @@ def _numeric_roots(p: CharPoly, tol: float, max_sweeps: int) -> list[RootEntry]:
             radius * 0.8 * cmath.exp(2j * math.pi * k / n + 0.4j) for k in range(n)
         ]
         eps = 2.22e-16
-        for sweep in range(max_sweeps):
+        for sweep in range(_MAX_SWEEPS):
             sweeps_used = sweep + 1
             max_step = 0.0
             converged = True

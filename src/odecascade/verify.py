@@ -61,20 +61,19 @@ def apply_operator(ode: LinearODE, y: Expr) -> Expr:
     return out
 
 
-def _zero_verdict(diff: Expr, exact: bool, refs: tuple,
-                  eps: float) -> tuple[bool, str]:
-    """Exact differences must vanish; float ones within eps of the largest
+def _zero_verdict(diff: Expr, exact: bool, refs: tuple) -> tuple[bool, str]:
+    """Exact differences must vanish; float ones within REL_EPS of the largest
     coefficient of ``refs``.  The float scale is computed on the float
     branch only, so an exact path never converts a coefficient to float
     (10^400 would overflow)."""
     if exact and diff.is_exact():
         return (diff.is_zero, STATUS_EXACT_ZERO if diff.is_zero else STATUS_NONZERO)
     scale_ref = max(max(ref.max_coeff_mag() for ref in refs), 1.0)
-    ok = all(abs(t.coeff) <= eps * scale_ref for t in diff.terms)
+    ok = all(abs(t.coeff) <= REL_EPS * scale_ref for t in diff.terms)
     return (ok, STATUS_ZERO_TOL if ok else STATUS_NONZERO)
 
 
-def residual_symbolic(ode: LinearODE, y_p: Expr, eps: float = REL_EPS) -> Residual:
+def residual_symbolic(ode: LinearODE, y_p: Expr) -> Residual:
     """Apply the operator, subtract the forcing, and test for zero.
 
     An exact equation with an exact candidate is checked exactly; any other
@@ -88,19 +87,18 @@ def residual_symbolic(ode: LinearODE, y_p: Expr, eps: float = REL_EPS) -> Residu
     applied = apply_operator(ode, y_p)
     diff = applied - ode.forcing
     exact = applied.is_exact() and ode.forcing.is_exact()
-    is_zero, status = _zero_verdict(diff, exact, (applied, ode.forcing), eps)
+    is_zero, status = _zero_verdict(diff, exact, (applied, ode.forcing))
     return Residual(diff, is_zero, status)
 
 
-def equal_mod_homogeneous(ode: LinearODE, y1: Expr, y2: Expr,
-                          eps: float = REL_EPS) -> bool:
+def equal_mod_homogeneous(ode: LinearODE, y1: Expr, y2: Expr) -> bool:
     """True iff L[y1 - y2] is zero, i.e. y1 and y2 differ by a homogeneous
     solution: the right equivalence for particular solutions."""
     applied1 = apply_operator(ode, y1)
     applied2 = apply_operator(ode, y2)
     diff = applied1 - applied2
     exact = applied1.is_exact() and applied2.is_exact()
-    is_zero, _ = _zero_verdict(diff, exact, (applied1, applied2), eps)
+    is_zero, _ = _zero_verdict(diff, exact, (applied1, applied2))
     return is_zero
 
 
@@ -139,14 +137,14 @@ def oracle_undetermined_coefficients(ode: LinearODE, q: Expr) -> Expr:
     lower powers at the same rate, with known leading factor p^(s)(lam)/s!,
     so the coefficient equations solve top-down with no linear algebra.
 
-    Forcings with logarithm terms are outside this method entirely; they
-    raise :class:`LogForcingUnsupported` (the cascade handles them).
+    Forcings with logarithm terms or negative powers of t are outside this
+    method entirely; they raise :class:`LogForcingUnsupported` (the cascade
+    handles them).
     """
-    log_terms = [t for t in q.terms if t.logpow > 0]
-    if log_terms:
+    if any(t.logpow > 0 or t.tpow < 0 for t in q.terms):
         raise LogForcingUnsupported(
             "the undetermined-coefficients ansatz cannot represent logarithm "
-            "forcings; use the cascade solver"
+            "terms or negative powers of t; use the cascade solver"
         )
 
     p = characteristic(ode)

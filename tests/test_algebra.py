@@ -25,6 +25,7 @@ from odecascade import (
 )
 
 from support import antiderivable_exprs, exprs_strategy, real_exprs_strategy
+from test_render import REAL_CASES
 
 I = GR(0, 1)
 HALF = GR(Fraction(1, 2))
@@ -204,6 +205,34 @@ def test_realify_rejects_asymmetric():
         realify(E(term(I, 0, 0, 0)))
     with pytest.raises(NotConjugateSymmetric):
         realify(E(term(GR(1, 1), 0, 0, I), term(GR(1, 1), 0, 0, -I)))
+
+
+@pytest.mark.parametrize("lone", [term(1, 0, 0, -I), Term(1.0, 0, 0, -1j)])
+def test_realify_rejects_lone_negative_rate(lone):
+    with pytest.raises(NotConjugateSymmetric):
+        realify(E(lone))
+
+
+def test_realify_float_partner_within_rate_tolerance():
+    # the partner's rate is within REL_EPS of conj(1+i) but not equal to it
+    e = normalize([Term(0.25 - 0.5j, 0, 0, 1 + 1j),
+                   Term(0.25 + 0.5j, 0, 0, complex(1, -(1 + 1e-14)))])
+    assert len(e.terms) == 2
+    assert realify(e) == RealExpr([RealTerm(0.5, 0, 0, 1.0, 1.0, "cos"),
+                                   RealTerm(1.0, 0, 0, 1.0, 1.0, "sin")])
+
+
+FLOAT_TO_EXPR = [
+    "Expr[((-0-0.375j))*t^10*ln^0*e^((-1-2.5j)t), (0.375j)*t^10*ln^0*e^((-1+2.5j)t)]",
+    "Expr[((0.5+0j))*t^0*ln^0*e^((0.5-1j)t), ((0.5+0j))*t^0*ln^0*e^((0.5+1j)t)]",
+    "Expr[((-1+0j))*t^1*ln^1*e^((1+0j)t)]",
+]
+
+
+@pytest.mark.parametrize("rt, want", zip(
+    [rt for rt, _, _ in REAL_CASES if isinstance(rt.coeff, float)], FLOAT_TO_EXPR))
+def test_to_expr_float_terms_pinned(rt, want):
+    assert repr(RealExpr([rt]).to_expr()) == want
 
 
 def test_realify_drops_float_imag_residue():

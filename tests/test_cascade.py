@@ -214,9 +214,7 @@ def test_pipeline_float_fallback_for_irrational_roots():
     res = residual_symbolic(ode.to_float(), trace.y_p)
     assert res.is_zero and res.status == "zero-within-tolerance"
     # p(1) = 1 - 2 = -1, so y_p = -e^t
-    assert trace.y_p.to_float().approx_equal(
-        normalize([term(-1.0, 0, 0, 1.0)]), 1e-9
-    )
+    assert trace.y_p.to_float().approx_equal(normalize([term(-1.0, 0, 0, 1.0)]))
 
 
 @pytest.mark.parametrize("text", ["y'' - 4y' + 4y = t^3*exp(2t)", "y'' - 2y = exp(t)"])

@@ -151,6 +151,13 @@ def test_oracle_rejects_log_forcing():
         oracle_undetermined_coefficients(ode, ode.forcing)
 
 
+@pytest.mark.parametrize("text", ["y'' + y = t^(-1)", "y'' + y = t^2 + t^(-2)"])
+def test_oracle_rejects_negative_powers(text):
+    ode = parse_ode(text)
+    with pytest.raises(LogForcingUnsupported):
+        oracle_undetermined_coefficients(ode, ode.forcing)
+
+
 def test_oracle_float_mode():
     ode = parse_ode("y'' + 5y' + 6y = exp(t)*cos(t)").to_float()
     y = oracle_undetermined_coefficients(ode, ode.forcing)
