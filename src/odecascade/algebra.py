@@ -729,7 +729,7 @@ def realify(e: Expr) -> RealExpr:
         partner = by_key.get((t.tpow, t.logpow, target))
         if partner is None and not exact:
             # the clustered float rates need not be bitwise-conjugate
-            key = min((k for k in by_key if k[:2] == t.key[:2]),
+            key = min((k for k in by_key if k[:2] == (t.tpow, t.logpow)),
                       key=lambda k: abs(k[2] - target))
             if abs(key[2] - target) <= rate_tol:
                 partner = by_key[key]
