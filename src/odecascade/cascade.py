@@ -26,10 +26,9 @@ the scaled sum of the answer and its conjugate.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, replace
+from collections import Counter, namedtuple
 
-from .algebra import Expr, RealExpr, _real_part, realify, scale, solve_stage
+from .algebra import Expr, _real_part, realify, scale, solve_stage
 from .errors import NotClosedForm, NotConjugateSymmetric, VerificationFailed
 from .model import LinearODE
 from .roots import characteristic, find_roots
@@ -37,17 +36,15 @@ from .scalars import GaussianRational, as_scalar, conj as _conj, is_exact
 from .verify import residual_symbolic
 
 
-@dataclass(frozen=True)
-class CascadeStage:
+class CascadeStage(namedtuple("CascadeStage", "root input output")):
     """One first-order solve: output phi satisfies phi' - root*phi = input."""
 
-    root: object
-    input: Expr
-    output: Expr
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CascadeTrace:
+class CascadeTrace(namedtuple("CascadeTrace",
+                              "stages leading_coeff y_p y_p_real roots residual",
+                              defaults=(None, None))):
     """Full derivation record.
 
     ``stages[i].output`` is ``stages[i+1].input``; the first input is the
@@ -61,12 +58,7 @@ class CascadeTrace:
     :func:`cascade` alone.
     """
 
-    stages: tuple
-    leading_coeff: object
-    y_p: Expr
-    y_p_real: RealExpr | None
-    roots: object = None
-    residual: object = None
+    __slots__ = ()
 
 
 def solve_first_order(r, g: Expr) -> Expr:
@@ -147,6 +139,6 @@ def particular_solution(ode: LinearODE):
         raise VerificationFailed(
             f"cascade result failed the residual check: {res.expr!r}"
         )
-    trace = replace(trace, roots=rootset, residual=res)
+    trace = trace._replace(roots=rootset, residual=res)
     solution = trace.y_p_real if trace.y_p_real is not None else trace.y_p
     return solution, trace

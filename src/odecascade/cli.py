@@ -1,22 +1,22 @@
 """Command-line interface.
 
 Subcommands: solve, roots, verify, eval, varcoef.  Every OdeCascadeError
-leaves through :class:`_Main` as one ``error:`` line with the exit code of
+leaves through :func:`main` as one ``error:`` line with the exit code of
 :data:`_EXIT_CODES`: 2 ParseError (and UnsupportedFunction,
 NotLinearConstantCoefficient), 3 NotClosedForm, 4 VerificationFailed (a
 solver result failing its own residual check), 1 any other (OverflowGuard,
 DomainError, NonConvergence, ...).  Exit 1 also means a bad option value or
-a nonzero residual of a ``verify`` candidate; 0 is success.
+a nonzero residual of a ``verify`` candidate; 0 is success; a usage error
+(an unknown option, a missing argument, a value of the wrong type) exits 2.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
 import time
-
-import click
 
 from . import __version__
 from .algebra import Expr, RealTerm, evaluate
@@ -54,23 +54,14 @@ _STATUS_JSON = {
 }
 
 
+#: Options that take a value: the next argument is their value even when it
+#: starts with "-" ("--from -inf").
+_VALUE_OPTIONS = {"--from", "--to", "--points", "--x0", "--x1", "--step"}
+
+
 def _fail(message: str, code: int = 1):
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(code)
-
-
-class _Main(click.Group):
-    """The one error boundary: any OdeCascadeError from a command becomes one
-    ``error:`` line and its exit code from :data:`_EXIT_CODES`."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except OdeCascadeError as exc:
-            span = getattr(exc, "span", None)
-            where = f" at {span.start}..{span.end}" if span else ""
-            code = next((c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls)), 1)
-            _fail(f"{exc}{where}", code)
 
 
 def _roots_json(rootset) -> list:
@@ -116,22 +107,6 @@ def _solve_report(ode_text, ode, trace, as_latex, show_steps, elapsed) -> str:
     return "\n".join(lines)
 
 
-@click.group(cls=_Main)
-@click.version_option(__version__)
-def main():
-    """Particular solutions of linear constant-coefficient ODEs by cascaded
-    first-order integrating-factor solves."""
-
-
-@main.command()
-@click.argument("ode_text")
-@click.option("--json", "as_json", is_flag=True, help="machine-readable report")
-@click.option("--latex", "as_latex", is_flag=True, help="render results as LaTeX")
-@click.option("--steps", "show_steps", is_flag=True, help="include the stage trace")
-@click.option("--exact", "force_exact", is_flag=True,
-              help="require exact (Gaussian-rational) arithmetic")
-@click.option("--float", "force_float", is_flag=True,
-              help="force approximate (floating) arithmetic")
 def solve(ode_text, as_json, as_latex, show_steps, force_exact, force_float):
     """Solve ODE_TEXT, e.g. "y'' + 5y' + 6y = exp(t)*cos(t)"."""
     if force_exact and force_float:
@@ -165,12 +140,9 @@ def solve(ode_text, as_json, as_latex, show_steps, force_exact, force_float):
             })
         else:
             report = _solve_report(ode_text, ode, trace, as_latex, show_steps, elapsed)
-    click.echo(report)
+    print(report)
 
 
-@main.command()
-@click.argument("ode_text")
-@click.option("--json", "as_json", is_flag=True)
 def roots(ode_text, as_json):
     """Characteristic roots of ODE_TEXT with multiplicities."""
     ode = parse_ode(ode_text)
@@ -185,13 +157,9 @@ def roots(ode_text, as_json):
                 *(f"{_root_str(e.value):<28}  {e.multiplicity:<4}  {e.exact}"
                   for e in rootset.entries),
             ])
-    click.echo(report)
+    print(report)
 
 
-@main.command()
-@click.argument("ode_text")
-@click.argument("candidate_text")
-@click.option("--json", "as_json", is_flag=True)
 def verify(ode_text, candidate_text, as_json):
     """Check whether CANDIDATE_TEXT solves ODE_TEXT (exit 0 iff it does)."""
     ode = parse_ode(ode_text)
@@ -207,15 +175,10 @@ def verify(ode_text, candidate_text, as_json):
             report = f"residual: {residual.status}"
             if not residual.is_zero:
                 report += f"\nL[y] - q = {render(residual.expr, 'plain', ode.var)}"
-    click.echo(report)
+    print(report)
     sys.exit(0 if residual.is_zero else 1)
 
 
-@main.command("eval")
-@click.argument("ode_text")
-@click.option("--from", "t_from", type=float, required=True)
-@click.option("--to", "t_to", type=float, required=True)
-@click.option("--points", "npoints", type=int, default=50, show_default=True)
 def eval_cmd(ode_text, t_from, t_to, npoints):
     """Solve ODE_TEXT and print CSV samples "t,y" of the particular solution."""
     if npoints < 1:
@@ -230,16 +193,9 @@ def eval_cmd(ode_text, t_from, t_to, npoints):
                 _fail("solution is complex-valued on this grid")
             value = value.real
         rows.append(f"{t!r},{float(value)!r}")
-    click.echo("\n".join(rows))
+    print("\n".join(rows))
 
 
-@main.command()
-@click.argument("a", type=float)
-@click.argument("n", type=int)
-@click.argument("forcing_text")
-@click.option("--x0", type=float, default=0.0, show_default=True)
-@click.option("--x1", type=float, default=1.0, show_default=True)
-@click.option("--step", type=float, default=1e-3, show_default=True)
 def varcoef(a, n, forcing_text, x0, x1, step):
     """Numeric particular solution of the factored power-coefficient form.
 
@@ -252,15 +208,90 @@ def varcoef(a, n, forcing_text, x0, x1, step):
         sol = solve_varcoef(ode, step)
     except ValueError as exc:  # the argument checks of both
         _fail(str(exc))
-    click.echo("x,phi,y,stage1_residual,stage2_residual,fd_residual")
-    for row in zip(sol.xs, sol.phi, sol.y, sol.stage1_residuals,
-                   sol.stage2_residuals, sol.fd_residuals):
-        click.echo(",".join("" if math.isnan(v) else repr(v) for v in row))
-    click.echo(
+    rows = ["x,phi,y,stage1_residual,stage2_residual,fd_residual"]
+    rows.extend(",".join("" if math.isnan(v) else repr(v) for v in row)
+                for row in zip(sol.xs, sol.phi, sol.y, sol.stage1_residuals,
+                               sol.stage2_residuals, sol.fd_residuals))
+    print("\n".join(rows), flush=True)  # the CSV before the summary on a shared stream
+    print(
         f"max residuals: stage1={sol.max_stage1_residual:.3e} "
         f"stage2={sol.max_stage2_residual:.3e} fd={sol.max_fd_residual:.3e}",
-        err=True,
+        file=sys.stderr,
     )
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="odecascade", allow_abbrev=False,
+        description="Particular solutions of linear constant-coefficient ODEs by "
+                    "cascaded first-order integrating-factor solves.")
+    parser.add_argument("--version", action="version",
+                        version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(required=True, metavar="COMMAND")
+
+    def command(name, func, *texts):
+        sub = commands.add_parser(name, help=func.__doc__.splitlines()[0],
+                                  description=func.__doc__, allow_abbrev=False)
+        sub.set_defaults(func=func)
+        for text in texts:
+            sub.add_argument(text, metavar=text.upper())
+        return sub
+
+    sub = command("solve", solve, "ode_text")
+    for flag, dest, text in (
+            ("--json", "as_json", "machine-readable report"),
+            ("--latex", "as_latex", "render results as LaTeX"),
+            ("--steps", "show_steps", "include the stage trace"),
+            ("--exact", "force_exact", "require exact (Gaussian-rational) arithmetic"),
+            ("--float", "force_float", "force approximate (floating) arithmetic")):
+        sub.add_argument(flag, dest=dest, action="store_true", help=text)
+    for sub in (command("roots", roots, "ode_text"),
+                command("verify", verify, "ode_text", "candidate_text")):
+        sub.add_argument("--json", dest="as_json", action="store_true")
+
+    sub = command("eval", eval_cmd, "ode_text")
+    sub.add_argument("--from", dest="t_from", type=float, required=True)
+    sub.add_argument("--to", dest="t_to", type=float, required=True)
+    sub.add_argument("--points", dest="npoints", type=int, default=50,
+                     help="(default: %(default)s)")
+
+    sub = command("varcoef", varcoef)
+    sub.add_argument("a", metavar="A", type=float)
+    sub.add_argument("n", metavar="N", type=int)
+    sub.add_argument("forcing_text", metavar="FORCING_TEXT")
+    for name, default in (("--x0", 0.0), ("--x1", 1.0), ("--step", 1e-3)):
+        sub.add_argument(name, type=float, default=default, help="(default: %(default)s)")
+    return parser
+
+
+def _join_values(argv) -> list:
+    """``--from -inf`` as ``--from=-inf``, so argparse reads a value that
+    starts with "-" as the option's value; arguments after "--" stay as they
+    are."""
+    out, rest = [], iter(argv)
+    for arg in rest:
+        if arg == "--":
+            return [*out, arg, *rest]
+        value = next(rest, None) if arg in _VALUE_OPTIONS else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
+def main(argv=None, standalone_mode=True):
+    """Run one command on ``argv`` (default ``sys.argv[1:]``).  A nonzero exit
+    leaves as ``SystemExit``: a usage error with 2, any OdeCascadeError as
+    one ``error:`` line with its code from :data:`_EXIT_CODES`.
+    ``standalone_mode`` is accepted and ignored, for callers of the former
+    click entry point."""
+    args = vars(_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv)))
+    func = args.pop("func")
+    try:
+        func(**args)
+    except OdeCascadeError as exc:
+        span = getattr(exc, "span", None)
+        where = f" at {span.start}..{span.end}" if span else ""
+        code = next((c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls)), 1)
+        _fail(f"{exc}{where}", code)
 
 
 if __name__ == "__main__":

@@ -59,7 +59,8 @@ class NonConvergence(OdeCascadeError):
 
 
 class DegreeLimitExceeded(OdeCascadeError):
-    """Polynomial degree above the supported cap for the numeric root path."""
+    """Polynomial degree above the supported cap for the numeric root path, or
+    an integer power of a sum that may have more terms than the parser's cap."""
 
 
 class NotFactorable(OdeCascadeError):

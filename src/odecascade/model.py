@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import Expr
 from .errors import OverflowGuard
 
 
-@dataclass(frozen=True)
-class LinearODE:
+class LinearODE(namedtuple("LinearODE", "coeffs forcing var")):
     """a_n y^(n) + ... + a_1 y' + a_0 y = q(t).
 
     ``coeffs`` lists a_0 .. a_n in ascending derivative order; the leading
@@ -19,15 +18,12 @@ class LinearODE:
     Fractions in exact mode or floats in approximate mode.
     """
 
-    coeffs: tuple
-    forcing: Expr
-    var: str = "t"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, coeffs, forcing: Expr, var: str = "t"):
         coeffs = tuple(
-            c if isinstance(c, (Fraction, float)) else Fraction(c) for c in self.coeffs
+            c if isinstance(c, (Fraction, float)) else Fraction(c) for c in coeffs
         )
-        object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) < 2:
             raise ValueError("the equation must be at least first order")
         if not coeffs[-1]:
@@ -35,8 +31,9 @@ class LinearODE:
         for c in coeffs:
             if isinstance(c, float) and not math.isfinite(c):
                 raise ValueError("coefficients must be finite")
-        if self.var not in ("t", "x"):
+        if var not in ("t", "x"):
             raise ValueError("variable must be 't' or 'x'")
+        return super().__new__(cls, coeffs, forcing, var)
 
     @property
     def order(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import DegreeLimitExceeded, NonConvergence, OverflowGuard
@@ -29,23 +29,22 @@ _MAX_SWEEPS = 200
 CLUSTER_RADIUS = 1e-6
 
 
-@dataclass(frozen=True)
-class CharPoly:
+class CharPoly(namedtuple("CharPoly", "coeffs")):
     """p(r) = a_n r^n + ... + a_0, coefficients ascending, a_n != 0.
 
     Characteristic polynomials have degree >= 1; degree 0 only appears in
     internal derivative chains.
     """
 
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs)
+    def __new__(cls, coeffs):
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("need at least one coefficient")
         if len(coeffs) > 1 and not coeffs[-1]:
             raise ValueError("leading coefficient must be nonzero")
-        object.__setattr__(self, "coeffs", coeffs)
+        return super().__new__(cls, coeffs)
 
     @property
     def degree(self) -> int:
@@ -80,25 +79,18 @@ def characteristic(ode: LinearODE) -> CharPoly:
     return CharPoly(tuple(ode.coeffs))
 
 
-@dataclass(frozen=True)
-class RootEntry:
-    value: object  # GaussianRational or complex
-    multiplicity: int
-    exact: bool
+#: value is a GaussianRational or a complex
+RootEntry = namedtuple("RootEntry", "value multiplicity exact")
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(namedtuple("RootSet", "entries")):
     """Roots with multiplicities, ordered descending by (Re, Im)."""
 
-    entries: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        ordered = tuple(sorted(
-            self.entries,
-            key=lambda e: (-e.value.real, -e.value.imag),
-        ))
-        object.__setattr__(self, "entries", ordered)
+    def __new__(cls, entries):
+        return super().__new__(cls, tuple(sorted(
+            entries, key=lambda e: (-e.value.real, -e.value.imag))))
 
     @property
     def degree(self) -> int:

@@ -26,7 +26,7 @@ Newton's method on the Legendre recurrence; all arrays are lists of floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .algebra import Expr, evaluate
 from .errors import DomainError, NotFactorable, OverflowGuard, StepTooLarge
@@ -40,33 +40,29 @@ GL_ORDER = 16
 GL_MAX_PANELS = 32
 
 
-@dataclass(frozen=True)
-class PowerCoefODE:
+class PowerCoefODE(namedtuple("PowerCoefODE", "a n forcing x0 x1")):
     """The factorable form with parameters a and n on a domain [x0, x1].
 
     ``forcing`` is an :class:`Expr` in x or any float callable; it only ever
     gets evaluated numerically.
     """
 
-    a: float
-    n: int
-    forcing: object
-    x0: float
-    x1: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+    def __new__(cls, a: float, n: int, forcing, x0: float, x1: float):
+        if not isinstance(n, int) or n < 0:
             raise ValueError("n must be a nonnegative integer")
-        if not self.x1 > self.x0:
+        if not x1 > x0:
             raise ValueError("need x1 > x0")
-        if not (math.isfinite(self.x0) and math.isfinite(self.x1)):
+        if not (math.isfinite(x0) and math.isfinite(x1)):
             raise ValueError("need a finite domain")
-        if isinstance(self.forcing, Expr):
-            needs_positive = any(t.logpow > 0 or t.tpow < 0 for t in self.forcing.terms)
-            if needs_positive and self.x0 <= 0:
+        if isinstance(forcing, Expr):
+            needs_positive = any(t.logpow > 0 or t.tpow < 0 for t in forcing.terms)
+            if needs_positive and x0 <= 0:
                 raise ValueError("forcing with logs needs x0 > 0")
-        elif not callable(self.forcing):
+        elif not callable(forcing):
             raise TypeError("forcing must be an Expr or a callable")
+        return super().__new__(cls, a, n, forcing, x0, x1)
 
     def forcing_callable(self):
         """q(x) as a float.  A callable forcing that fails at x (division by
@@ -95,24 +91,16 @@ class PowerCoefODE:
         return w
 
 
-@dataclass
-class NumericSolution:
-    """Sampled stage function phi and particular solution y on a uniform grid,
-    with the residual diagnostics filled in by the solver."""
+class NumericSolution(namedtuple(
+        "NumericSolution",
+        "xs phi y h stage1_residuals stage2_residuals fd_residuals max_stage1_residual "
+        "max_stage2_residual max_fd_residual probe_xs probe_phi_errors probe_y_errors",
+        defaults=(None, None, None))):
+    """Sampled stage function phi and particular solution y on a uniform grid
+    (lists of floats, step h), with the solver's residual diagnostics; the
+    probe fields are None when the cross-check did not run."""
 
-    xs: list[float]
-    phi: list[float]
-    y: list[float]
-    h: float
-    stage1_residuals: list[float] = field(default=None, repr=False)
-    stage2_residuals: list[float] = field(default=None, repr=False)
-    fd_residuals: list[float] = field(default=None, repr=False)
-    max_stage1_residual: float = math.nan
-    max_stage2_residual: float = math.nan
-    max_fd_residual: float = math.nan
-    probe_xs: list[float] = field(default=None, repr=False)
-    probe_phi_errors: list[float] = field(default=None, repr=False)
-    probe_y_errors: list[float] = field(default=None, repr=False)
+    __slots__ = ()
 
 
 def recognize_factorable(b: float, m: int, forcing=None,
@@ -204,44 +192,44 @@ def solve_varcoef(ode: PowerCoefODE, h: float, stage_tol: float = 1e-6,
     if not (all(map(math.isfinite, phis)) and all(map(math.isfinite, ys))):
         raise OverflowGuard("solution is not finite on the grid")
 
-    sol = NumericSolution(xs=xs, phi=phis, y=ys, h=h_eff)
-    r1, r2, rfd = _residual_arrays(sol, ode)
-    sol.stage1_residuals, sol.stage2_residuals, sol.fd_residuals = r1, r2, rfd
-    sol.max_stage1_residual, sol.max_stage2_residual, sol.max_fd_residual = (
-        _max_abs(r1), _max_abs(r2), _max_abs(rfd))
-    if max(sol.max_stage1_residual, sol.max_stage2_residual) > stage_tol:
+    residuals = _residual_arrays((xs, phis, ys, h_eff), ode)
+    maxima = [_max_abs(r) for r in residuals]
+    if max(maxima[:2]) > stage_tol:
         raise StepTooLarge(
-            f"stage residuals {sol.max_stage1_residual:.3e}, "
-            f"{sol.max_stage2_residual:.3e} exceed {stage_tol:.1e}; reduce h"
+            f"stage residuals {maxima[0]:.3e}, {maxima[1]:.3e} exceed {stage_tol:.1e}; "
+            "reduce h"
         )
-
+    probes = ()
     if probe_points > 0:
-        _cross_check(sol, ode, probe_points, probe_tol)
-    return sol
+        probes = _cross_check((xs, phis, ys), ode, probe_points, probe_tol)
+    return NumericSolution(xs, phis, ys, h_eff, *residuals, *maxima, *probes)
 
 
-def _cross_check(sol: NumericSolution, ode: PowerCoefODE,
-                 probe_points: int, probe_tol: float):
+def _cross_check(march, ode: PowerCoefODE, probe_points: int, probe_tol: float):
     """Evaluate the closed-form integrating-factor solutions by Gauss-Legendre
-    quadrature at a few grid nodes and compare with the march."""
+    quadrature at a few grid nodes of the march (xs, phi, y, ..., as the
+    first fields of a :class:`NumericSolution`) and compare with it.
+    Returns the probe nodes and the phi and y errors there."""
+    xs, phi, y = march[:3]
     q = ode.forcing_callable()
-    idx = sorted({int(v) for v in linspace(1, len(sol.xs) - 1, probe_points)})
-    sol.probe_xs = [sol.xs[i] for i in idx]
+    idx = sorted({int(v) for v in linspace(1, len(xs) - 1, probe_points)})
+    probe_xs = [xs[i] for i in idx]
     try:
-        exact = [_closed_forms(ode, q, x) for x in sol.probe_xs]
+        exact = [_closed_forms(ode, q, x) for x in probe_xs]
     except OverflowError:
         exact = None
     if exact is None or not all(math.isfinite(v) for pair in exact for v in pair):
         raise OverflowGuard("closed-form cross-check is not finite on this domain")
-    phi_scale = max(1.0, _max_abs(sol.phi))
-    y_scale = max(1.0, _max_abs(sol.y))
-    sol.probe_phi_errors = phi_err = [abs(e[0] - sol.phi[i]) for e, i in zip(exact, idx)]
-    sol.probe_y_errors = y_err = [abs(e[1] - sol.y[i]) for e, i in zip(exact, idx)]
+    phi_scale = max(1.0, _max_abs(phi))
+    y_scale = max(1.0, _max_abs(y))
+    phi_err = [abs(e[0] - phi[i]) for e, i in zip(exact, idx)]
+    y_err = [abs(e[1] - y[i]) for e, i in zip(exact, idx)]
     if max(phi_err) > probe_tol * phi_scale or max(y_err) > probe_tol * y_scale:
         raise StepTooLarge(
             f"quadrature cross-check deviates by {max(phi_err):.3e} (phi) / "
             f"{max(y_err):.3e} (y); the march is not resolved, reduce h"
         )
+    return probe_xs, phi_err, y_err
 
 
 def _closed_forms(ode: PowerCoefODE, q, x: float):
@@ -318,8 +306,10 @@ def _unit_rule(panels: int):
     return nodes, [w / (2 * panels) for w in _GL_WEIGHTS] * panels
 
 
-def _residual_arrays(sol: NumericSolution, ode: PowerCoefODE):
-    xs, phi, y, h = sol.xs, sol.phi, sol.y, sol.h
+def _residual_arrays(march, ode: PowerCoefODE):
+    """Stage 1, stage 2 and factored-form residuals at the nodes of the march
+    (xs, phi, y, h, ..., as the first fields of a :class:`NumericSolution`)."""
+    xs, phi, y, h = march[:4]
     a, n = ode.a, ode.n
     q = ode.forcing_callable()
     qv = [q(x) for x in xs]

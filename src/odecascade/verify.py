@@ -11,7 +11,7 @@ cascade results can be cross-checked method against method.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import REL_EPS, Expr, Term, _apply_by_shift, differentiate, normalize, scale
@@ -25,13 +25,10 @@ STATUS_ZERO_TOL = "zero-within-tolerance"
 STATUS_NONZERO = "nonzero"
 
 
-@dataclass(frozen=True)
-class Residual:
+class Residual(namedtuple("Residual", "expr is_zero status")):
     """L[y] - q after normalization, with the backend's zero verdict."""
 
-    expr: Expr
-    is_zero: bool
-    status: str
+    __slots__ = ()
 
 
 def apply_operator(ode: LinearODE, y: Expr) -> Expr:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -21,6 +24,7 @@ from odecascade import (
     expand_from_roots,
     normalize,
 )
+from odecascade.cli import main as cli_main
 
 GR = GaussianRational
 
@@ -239,3 +243,49 @@ def ode_texts():
     lhs = st.lists(st.tuples(st.sampled_from(["+", "-"]), _y_terms), min_size=1,
                    max_size=4).map(lambda ts: " ".join(f"{s} {t}" for s, t in ts))
     return st.builds(lambda l, q: f"{l} = {q}", lhs, forcing_texts())
+
+
+# ---------------------------------------------------------------------------
+# the command line, in process
+# ---------------------------------------------------------------------------
+
+class CliResult:
+    """What one command line printed and how it ended.
+
+    ``exit_code`` is the code of the ``SystemExit`` that ended it (0 when
+    ``main`` returned, 1 for any other exception).  ``exception`` is that
+    ``SystemExit`` when its code is nonzero, the other exception with its
+    ``exc_info``, or None.  ``output`` is stdout and stderr interleaved as
+    written."""
+
+    def __init__(self, exit_code, stdout, stderr, output, exc_info=None):
+        self.exit_code, self.stdout, self.stderr, self.output = exit_code, stdout, stderr, output
+        self.exc_info = exc_info
+        self.exception = exc_info[1] if exc_info else None
+
+
+class _Tee(io.StringIO):
+    def __init__(self, both):
+        super().__init__()
+        self.both = both
+
+    def write(self, text):
+        self.both.write(text)
+        return super().write(text)
+
+
+def run_cli(args) -> CliResult:
+    """``odecascade`` with ``args``, run by ``odecascade.cli.main`` in this
+    process with stdout and stderr captured."""
+    both = io.StringIO()
+    out, err = _Tee(both), _Tee(both)
+    code, exc_info = 0, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli_main(list(args))
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+            exc_info = sys.exc_info() if code else None
+        except Exception:
+            code, exc_info = 1, sys.exc_info()
+    return CliResult(code, out.getvalue(), err.getvalue(), both.getvalue(), exc_info)

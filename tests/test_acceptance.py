@@ -12,7 +12,6 @@ from time import perf_counter
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from odecascade import (
     CharPoly,
@@ -34,13 +33,13 @@ from odecascade import (
     solve_varcoef,
     term,
 )
-from odecascade.cli import main as cli_main
 
 from support import (
     ode_from_roots,
     permutations_of,
     random_antiderivable_expr,
     random_problem,
+    run_cli,
 )
 
 
@@ -73,8 +72,7 @@ def test_criterion_1_distinct_real_roots_fixture():
         assert sol == want
         assert res.is_zero and res.status == "exact-zero"
         assert elapsed < 0.1, f"pipeline took {elapsed:.3f} s"
-        cli = CliRunner().invoke(
-            cli_main, ["solve", "y''+5y'+6y = exp(t)*cos(t)"])
+        cli = run_cli(["solve", "y''+5y'+6y = exp(t)*cos(t)"])
         assert cli.exit_code == 0
         assert "11/170*exp(t)*cos(t) + 7/170*exp(t)*sin(t)" in cli.output
 
@@ -259,8 +257,7 @@ def test_criterion_11_variable_coefficient():
 def test_criterion_12_error_paths():
     with criterion(12, "error paths: NotClosedForm exit code 3 naming the "
                        "stage; oracle rejects log forcing"):
-        result = CliRunner().invoke(
-            cli_main, ["solve", "y'' + y = exp(t)*ln(t)"])
+        result = run_cli(["solve", "y'' + y = exp(t)*ln(t)"])
         assert result.exit_code == 3
         assert "stage 1" in result.stderr
 

@@ -1,66 +1,64 @@
+import contextlib
 import hashlib
+import io
 import json
 import sys
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from odecascade import evaluate, expr_from_json_terms, parse_forcing, parse_ode, particular_solution
 from odecascade.cli import main
 
-
-@pytest.fixture()
-def runner():
-    return CliRunner()
+from support import run_cli
 
 
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
 
-def test_solve_repeated_root_fixture(runner):
-    result = runner.invoke(main, ["solve", "y''-4y'+4y = t^3*exp(2t)"])
+def test_solve_repeated_root_fixture():
+    result = run_cli(["solve", "y''-4y'+4y = t^3*exp(2t)"])
     assert result.exit_code == 0
     assert "1/20*t^5*exp(2*t)" in result.output
     assert "exact-zero" in result.output
 
 
-def test_solve_zero_forcing(runner):
-    result = runner.invoke(main, ["solve", "y'' + y = 0"])
+def test_solve_zero_forcing():
+    result = run_cli(["solve", "y'' + y = 0"])
     assert result.exit_code == 0
     assert "y_p (real):     0" in result.output
 
 
-def test_solve_steps_show_log_stage(runner):
-    result = runner.invoke(main, ["solve", "y''+4y'+4y = exp(-2t)*ln(t)", "--steps"])
+def test_solve_steps_show_log_stage():
+    result = run_cli(["solve", "y''+4y'+4y = exp(-2t)*ln(t)", "--steps"])
     assert result.exit_code == 0
     assert "-t*exp(-2*t) + t*ln(t)*exp(-2*t)" in result.output
     assert "stage 1" in result.output and "stage 2" in result.output
 
 
-def test_solve_latex(runner):
-    result = runner.invoke(main, ["solve", "y''-4y'+4y = t^3*exp(2t)", "--latex"])
+def test_solve_latex():
+    result = run_cli(["solve", "y''-4y'+4y = t^3*exp(2t)", "--latex"])
     assert result.exit_code == 0
     assert r"\frac{1}{20}t^5e^{2t}" in result.output
 
 
-def test_solve_parse_error_exit_2(runner):
-    result = runner.invoke(main, ["solve", "y'' + = t"])
+def test_solve_parse_error_exit_2():
+    result = run_cli(["solve", "y'' + = t"])
     assert result.exit_code == 2
 
 
-def test_solve_not_closed_form_exit_3(runner):
-    result = runner.invoke(main, ["solve", "y'' + y = exp(t)*ln(t)"])
+def test_solve_not_closed_form_exit_3():
+    result = run_cli(["solve", "y'' + y = exp(t)*ln(t)"])
     assert result.exit_code == 3
     assert "stage 1" in result.stderr
 
 
 @pytest.mark.parametrize("text", ["y'' - y = 1e400", "y'' + y = t^171"])
-def test_solve_exact_never_converts_to_float(runner, text):
+def test_solve_exact_never_converts_to_float(text):
     # 10^400 and the t^171 coefficients (~171!) overflow a float; the exact
     # path must not compute a float scale from them.
-    result = runner.invoke(main, ["solve", text])
+    result = run_cli(["solve", text])
     assert result.exit_code == 0, result.exception
     assert "residual:       exact-zero" in result.output
     assert "Traceback" not in result.output + result.stderr
@@ -69,9 +67,9 @@ def test_solve_exact_never_converts_to_float(runner, text):
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="this Python has no int-to-str digit limit")
 @pytest.mark.parametrize("flags", [[], ["--latex"], ["--json"]])
-def test_solve_result_too_long_to_print(runner, flags):
+def test_solve_result_too_long_to_print(flags):
     # the t^2000 coefficients reach ~2000!, past the 4300-digit str limit
-    result = runner.invoke(main, ["solve", "y'' + y = t^2000", *flags])
+    result = run_cli(["solve", "y'' + y = t^2000", *flags])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.stdout == ""
@@ -79,19 +77,19 @@ def test_solve_result_too_long_to_print(runner, flags):
     assert len(result.stderr.splitlines()) == 1
 
 
-def test_solve_float_flag(runner):
-    result = runner.invoke(main, ["solve", "y''-4y'+4y = t^3*exp(2t)", "--float"])
+def test_solve_float_flag():
+    result = run_cli(["solve", "y''-4y'+4y = t^3*exp(2t)", "--float"])
     assert result.exit_code == 0
     assert "zero-within-tolerance" in result.output
 
 
-def test_solve_exact_flag_refuses_irrational(runner):
-    result = runner.invoke(main, ["solve", "y'' - 2y = exp(t)", "--exact"])
+def test_solve_exact_flag_refuses_irrational():
+    result = run_cli(["solve", "y'' - 2y = exp(t)", "--exact"])
     assert result.exit_code == 1
 
 
-def test_solve_json_round_trip(runner):
-    result = runner.invoke(main, ["solve", "y''+5y'+6y = exp(t)*cos(t)", "--json"])
+def test_solve_json_round_trip():
+    result = run_cli(["solve", "y''+5y'+6y = exp(t)*cos(t)", "--json"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
     assert set(payload) == {"ode", "roots", "y_p", "residual", "trace"}
@@ -105,9 +103,9 @@ def test_solve_json_round_trip(runner):
     assert payload["y_p"]["real_terms"]
 
 
-def test_solve_json_trace_only_with_steps(runner):
-    base = runner.invoke(main, ["solve", "y'' + y = 0", "--json"])
-    with_steps = runner.invoke(main, ["solve", "y'' + y = 0", "--json", "--steps"])
+def test_solve_json_trace_only_with_steps():
+    base = run_cli(["solve", "y'' + y = 0", "--json"])
+    with_steps = run_cli(["solve", "y'' + y = 0", "--json", "--steps"])
     assert json.loads(base.output)["trace"] == []
     assert len(json.loads(with_steps.output)["trace"]) == 2
 
@@ -116,16 +114,16 @@ def test_solve_json_trace_only_with_steps(runner):
 # roots
 # ---------------------------------------------------------------------------
 
-def test_roots_fixtures(runner):
-    result = runner.invoke(main, ["roots", "y''+5y'+6y = 0"])
+def test_roots_fixtures():
+    result = run_cli(["roots", "y''+5y'+6y = 0"])
     assert result.exit_code == 0
     assert "-2" in result.output and "-3" in result.output
 
-    result = runner.invoke(main, ["roots", "y''-4y'+4y = 0", "--json"])
+    result = run_cli(["roots", "y''-4y'+4y = 0", "--json"])
     data = json.loads(result.output)
     assert data == [{"re": 2.0, "im": 0.0, "mult": 2, "exact": True}]
 
-    result = runner.invoke(main, ["roots", "y''-2y'+5y = 0", "--json"])
+    result = run_cli(["roots", "y''-2y'+5y = 0", "--json"])
     data = {(r["re"], r["im"], r["mult"]) for r in json.loads(result.output)}
     assert data == {(1.0, 2.0, 1), (1.0, -2.0, 1)}
 
@@ -134,28 +132,28 @@ def test_roots_fixtures(runner):
 # verify
 # ---------------------------------------------------------------------------
 
-def test_verify_zero_residual_exit_0(runner):
-    result = runner.invoke(main, [
+def test_verify_zero_residual_exit_0():
+    result = run_cli([
         "verify", "y''-2y'+5y = sin(t)", "1/10*cos(t)+1/5*sin(t)"])
     assert result.exit_code == 0
     assert "exact-zero" in result.output
 
 
-def test_verify_nonzero_exit_1(runner):
-    result = runner.invoke(main, ["verify", "y''-2y'+5y = sin(t)", "t"])
+def test_verify_nonzero_exit_1():
+    result = run_cli(["verify", "y''-2y'+5y = sin(t)", "t"])
     assert result.exit_code == 1
     assert "nonzero" in result.output
 
 
-def test_verify_homogeneous_addition_still_zero(runner):
-    result = runner.invoke(main, [
+def test_verify_homogeneous_addition_still_zero():
+    result = run_cli([
         "verify", "y''-4y'+4y = t^3*exp(2t)",
         "1/20*t^5*exp(2*t) + exp(2*t) + t*exp(2*t)"])
     assert result.exit_code == 0
 
 
-def test_verify_parse_error_exit_2(runner):
-    result = runner.invoke(main, ["verify", "y'' = t", "1 +"])
+def test_verify_parse_error_exit_2():
+    result = run_cli(["verify", "y'' = t", "1 +"])
     assert result.exit_code == 2
 
 
@@ -163,8 +161,8 @@ def test_verify_parse_error_exit_2(runner):
 # eval
 # ---------------------------------------------------------------------------
 
-def test_eval_fixture_value_at_zero(runner):
-    result = runner.invoke(main, [
+def test_eval_fixture_value_at_zero():
+    result = run_cli([
         "eval", "y''-2y'+5y = sin(t)", "--from", "0", "--to", "1", "--points", "3"])
     assert result.exit_code == 0
     lines = result.output.strip().splitlines()
@@ -175,8 +173,8 @@ def test_eval_fixture_value_at_zero(runner):
     assert float(first[1]) == pytest.approx(0.1)
 
 
-def test_eval_single_point_grid(runner):
-    result = runner.invoke(main, [
+def test_eval_single_point_grid():
+    result = run_cli([
         "eval", "y' = t", "--from", "2", "--to", "5", "--points", "1"])
     lines = result.output.strip().splitlines()
     assert len(lines) == 2
@@ -193,8 +191,8 @@ def test_eval_single_point_grid(runner):
     (0.3, 0.1, 4),
     (0.0, 5e-324, 10),
 ])
-def test_eval_grid_matches_numpy_linspace(runner, t_from, t_to, points):
-    result = runner.invoke(main, [
+def test_eval_grid_matches_numpy_linspace(t_from, t_to, points):
+    result = run_cli([
         "eval", "y' = t", "--from", repr(t_from), "--to", repr(t_to),
         "--points", str(points)])
     assert result.exit_code == 0
@@ -202,17 +200,17 @@ def test_eval_grid_matches_numpy_linspace(runner, t_from, t_to, points):
     assert printed == [repr(float(t)) for t in np.linspace(t_from, t_to, points)]
 
 
-def test_eval_overflowing_coefficient_exit_1(runner):
+def test_eval_overflowing_coefficient_exit_1():
     # the exact solution -10^400 has no float value
-    result = runner.invoke(main, ["eval", "y'' - y = 1e400",
+    result = run_cli(["eval", "y'' - y = 1e400",
                                   "--from", "1", "--to", "2", "--points", "3"])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error: value at t=1.0 overflows")
 
 
-def test_eval_matches_evaluate(runner):
-    result = runner.invoke(main, [
+def test_eval_matches_evaluate():
+    result = run_cli([
         "eval", "y''+5y'+6y = exp(t)*cos(t)", "--from", "0.5", "--to", "1.5",
         "--points", "5"])
     sol, _ = particular_solution(parse_ode("y''+5y'+6y = exp(t)*cos(t)"))
@@ -225,8 +223,8 @@ def test_eval_matches_evaluate(runner):
 # varcoef
 # ---------------------------------------------------------------------------
 
-def test_varcoef_csv_output(runner):
-    result = runner.invoke(main, [
+def test_varcoef_csv_output():
+    result = run_cli([
         "varcoef", "1.0", "1", "exp(x^2/2)", "--x0", "0", "--x1", "1",
         "--step", "0.01"])
     assert result.exit_code == 0
@@ -236,8 +234,8 @@ def test_varcoef_csv_output(runner):
     assert "max residuals" in result.stderr
 
 
-def test_varcoef_degenerate_quadratic(runner):
-    result = runner.invoke(main, [
+def test_varcoef_degenerate_quadratic():
+    result = run_cli([
         "varcoef", "0.0", "0", "2", "--x0", "0", "--x1", "1", "--step", "0.1"])
     assert result.exit_code == 0
     last = result.stdout.strip().splitlines()[-1].split(",")
@@ -245,14 +243,14 @@ def test_varcoef_degenerate_quadratic(runner):
     assert float(last[2]) == pytest.approx(1.0, abs=1e-12)  # y(1) = 1
 
 
-def test_varcoef_overflow_exit_1(runner):
-    result = runner.invoke(main, [
+def test_varcoef_overflow_exit_1():
+    result = run_cli([
         "varcoef", "2.0", "3", "1", "--x0", "0", "--x1", "10", "--step", "0.01"])
     assert result.exit_code == 1
 
 
-def test_varcoef_parse_error_exit_2(runner):
-    result = runner.invoke(main, ["varcoef", "1.0", "1", "exp(x**)"])
+def test_varcoef_parse_error_exit_2():
+    result = run_cli(["varcoef", "1.0", "1", "exp(x**)"])
     assert result.exit_code == 2
 
 
@@ -283,13 +281,63 @@ _VARCOEF_PINS = [
     (["1.0", "1", "exp(x^2/2)", "--step", "0.25"], 1,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "176759b1d8ed3900753f1f4c5e1d82155a61135ef6808004a99b693fd37abdd0"),
+    # option values with a minus sign that are not plain decimals
+    (["0.5", "0", "cos(x)", "--x0", "-5e-1", "--x1", "-1e-1", "--step", "0.01"], 0,
+     "d0b533e6247aaa181bd0398c00fa8dab5f3f74c302ce4968a3702d3d42e86058",
+     "5b5cbd64e3c82089f0db5f9091e7396824d6817c5c7d19cc38ef6e15281eb7f7"),
 ]
 
 
 @pytest.mark.parametrize("args, code, out_sha, err_sha", _VARCOEF_PINS,
                          ids=[" ".join(pin[0]) for pin in _VARCOEF_PINS])
-def test_varcoef_output_pinned(runner, args, code, out_sha, err_sha):
-    result = runner.invoke(main, ["varcoef", *args])
+def test_varcoef_output_pinned(args, code, out_sha, err_sha):
+    result = run_cli(["varcoef", *args])
     assert result.exit_code == code, result.stderr
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == out_sha
     assert hashlib.sha256(result.stderr.encode()).hexdigest() == err_sha
+
+
+# ---------------------------------------------------------------------------
+# the argument contract
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("args, code, stdout, stderr", [
+    (["eval", "y' = t", "--from", "-inf", "--to", "1", "--points", "3"], 0,
+     "t,y\nnan,nan\nnan,nan\n1.0,0.5\n", ""),
+    (["eval", "y'' + y = t", "--from", "-1e-3", "--to", "1", "--points", "2"], 0,
+     "t,y\n-0.001,-0.001\n1.0,1.0\n", ""),
+    (["varcoef", "1.0", "1", "exp(x^2/2)", "--x0", "-inf"], 1,
+     "", "error: need a finite domain\n"),
+], ids=["eval-from-minus-inf", "eval-from-minus-exponent", "varcoef-x0-minus-inf"])
+def test_option_value_starting_with_minus(args, code, stdout, stderr):
+    result = run_cli(args)
+    assert (result.exit_code, result.stdout, result.stderr) == (code, stdout, stderr)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["solve", "y'' + y = t"], 0),
+    (["verify", "y'' + y = t", "t^2"], 1),
+    (["solve", "y'' + = t"], 2),
+    (["solve", "--bogus", "y'' + y = t"], 2),
+    (["solve", "y'' + y = exp(t)*ln(t)"], 3),
+    (["eval", "y''' - 4y'' + y' + 2y = 2*t^4*exp(-1/2*t) + 5*t^2*exp(3t)",
+      "--from", "0.5", "--to", "1.5"], 4),
+])
+def test_main_not_standalone_exits_through_system_exit(args, code):
+    # how the benchmark calls the CLI in process: returning means exit 0,
+    # anything else must leave as SystemExit with its code
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(args, standalone_mode=False)
+            exit_code = 0
+        except SystemExit as exc:
+            exit_code = exc.code
+    assert exit_code == code, err.getvalue()
+    assert (out.getvalue() or err.getvalue()) and "Traceback" not in err.getvalue()
+
+
+def test_version():
+    result = run_cli(["--version"])
+    assert result.exit_code == 0
+    assert "0.1.0" in result.stdout

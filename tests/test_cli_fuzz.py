@@ -10,15 +10,13 @@ sizes (``t^200000``, ``y^(10^20)``) are a separate matter: caps on the work.
 
 import re
 import sys
+import time
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from odecascade.cli import main
-
-from support import forcing_texts, ode_texts
+from support import forcing_texts, ode_texts, run_cli
 
 DOCUMENTED_EXIT_CODES = {0, 1, 2, 3, 4}
 
@@ -91,7 +89,7 @@ def _varcoef_args():
 
 
 def _assert_clean(args):
-    result = CliRunner().invoke(main, args)
+    result = run_cli(args)
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         args, result.exc_info)
     assert result.exit_code in DOCUMENTED_EXIT_CODES, (args, result.exit_code)
@@ -131,11 +129,11 @@ needs_digit_limit = pytest.mark.skipif(
     reason="this Python has no int-to-str digit limit")
 
 
-def _case(name, args, code, message=None, **kw):
-    return pytest.param(args, code, message, id=name, **kw)
+def _case(name, args, code, message=None, seconds=None, **kw):
+    return pytest.param(args, code, message, seconds, id=name, **kw)
 
 
-@pytest.mark.parametrize("args, code, message", [
+@pytest.mark.parametrize("args, code, message, seconds", [
     # exact roots past the double range
     _case("solve-huge-root", ["solve", "y' - 1e400y = 1"], 0),
     _case("solve-json-huge-root", ["solve", "y' - 1e400y = 1", "--json"], 1,
@@ -184,9 +182,15 @@ def _case(name, args, code, message=None, **kw):
     _case("eval-sine-at-infinity",
           ["eval", "y' = sin(t)", "--from", "0", "--to", "inf", "--points", "2"], 1,
           "error: value at t=inf is undefined"),
+    # a power whose expansion has no bound on its work, refused before it starts
+    _case("power-term-cap", ["solve", "y' + y = (exp(t)+sin(t))^64"], 1,
+          "error: power ^64 of a 3-term expression may have 2145 terms", seconds=1.0),
 ])
-def test_cli_regression(args, code, message):
+def test_cli_regression(args, code, message, seconds):
+    start = time.perf_counter()
     result = _assert_clean(args)
+    if seconds is not None:
+        assert time.perf_counter() - start < seconds
     assert result.exit_code == code, result.stderr
     if message is None:
         assert "residual:       exact-zero" in result.stdout

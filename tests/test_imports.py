@@ -1,5 +1,5 @@
 """Import footprint: the package and every CLI command, varcoef included,
-run on the standard library and click alone; neither numpy nor scipy is
+run on the standard library alone; neither numpy, scipy nor click is
 needed or loaded.  The subprocess checks run in a fresh interpreter."""
 
 import os
@@ -26,6 +26,21 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
     """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_loads_no_click():
+    proc = _run("""
+        import runpy
+        import sys
+
+        import odecascade.cli
+        assert "click" not in sys.modules, "import odecascade.cli loaded click"
+        sys.argv = ["odecascade", "solve", "y'' + y = t"]
+        runpy.run_module("odecascade.cli", run_name="__main__")
+        print("click" in sys.modules)
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_varcoef_runs_without_numpy_or_scipy():

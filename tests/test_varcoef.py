@@ -151,9 +151,9 @@ def test_probe_nodes_match_numpy(count, probe_points):
     ode = PowerCoefODE(1.0, 1, lambda x: math.exp(x * x / 2), 0.0, 1.0)
     sol = solve_varcoef(ode, 1.0 / (count - 1), stage_tol=math.inf, probe_points=0)
     assert len(sol.xs) == count
-    _cross_check(sol, ode, probe_points, math.inf)
+    probe_xs, _, _ = _cross_check(sol, ode, probe_points, math.inf)
     idx = np.unique(np.linspace(1, count - 1, probe_points).astype(int))
-    assert list(sol.probe_xs) == [sol.xs[i] for i in idx]
+    assert list(probe_xs) == [sol.xs[i] for i in idx]
 
 
 @pytest.mark.parametrize("attr", ["phi", "y"])
