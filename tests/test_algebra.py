@@ -302,6 +302,91 @@ def test_backend_coercion_on_mixing():
 
 
 # ---------------------------------------------------------------------------
+# the Term and RealTerm contract
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("value, want", [
+    (3, GR(3)),
+    (Fraction(-3, 4), GR(Fraction(-3, 4))),
+    (GR(1, -2), GR(1, -2)),
+    (1 + 2j, 1 + 2j),
+    (0.5, 0.5 + 0j),
+])
+def test_term_coerces_coeff_and_exponent(value, want):
+    t = Term(value, 1, 0, value)
+    assert t.coeff == want and type(t.coeff) is type(want)
+    assert t.exponent == want and type(t.exponent) is type(want)
+
+
+def test_term_defaults():
+    t = Term(2)
+    assert (t.tpow, t.logpow, t.exponent) == (0, 0, GR(0))
+    assert isinstance(t.exponent, GR)
+    r = RealTerm(2)
+    assert (r.tpow, r.logpow, r.alpha, r.beta, r.kind) == (0, 0, 0, 0, "cos")
+
+
+@pytest.mark.parametrize("kwargs", [{"tpow": 1.0}, {"logpow": 1.0}, {"tpow": "1"}])
+def test_term_rejects_non_integer_powers(kwargs):
+    with pytest.raises(TypeError, match="tpow and logpow must be integers"):
+        Term(1, **kwargs)
+
+
+def test_term_rejects_bad_scalars_and_negative_logpow():
+    with pytest.raises(TypeError, match="cannot use str as a scalar"):
+        Term("1")
+    with pytest.raises(ValueError, match="logpow must be nonnegative"):
+        Term(1, 0, -1)
+
+
+def test_real_term_rejects_bad_kind_and_negative_exact_beta():
+    with pytest.raises(ValueError, match="kind must be 'cos' or 'sin'"):
+        RealTerm(1, kind="tan")
+    for beta in (-1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="beta must be nonnegative"):
+            RealTerm(1, beta=beta)
+    assert RealTerm(1, beta=-0.5).beta == -0.5  # only an exact beta is checked
+
+
+@pytest.mark.parametrize("obj, field", [
+    (Term(1, 2), "coeff"), (Term(1, 2), "tpow"),
+    (RealTerm(1, 2), "kind"), (RealTerm(1, 2), "beta"),
+])
+def test_terms_are_immutable(obj, field):
+    with pytest.raises(AttributeError):
+        setattr(obj, field, 0)
+
+
+def test_term_repr_is_pinned():
+    t = Term(Fraction(3, 2), 2, 1, GR(-1, 2))
+    assert repr(t) == ("Term(coeff=GaussianRational(3/2), tpow=2, logpow=1, "
+                       "exponent=GaussianRational(-1, 2))")
+    r = RealTerm(Fraction(-1, 3), 1, 0, Fraction(2), Fraction(1, 2), "sin")
+    assert repr(r) == ("RealTerm(coeff=Fraction(-1, 3), tpow=1, logpow=0, "
+                       "alpha=Fraction(2, 1), beta=Fraction(1, 2), kind='sin')")
+
+
+def test_term_hash_is_the_hash_of_its_fields():
+    t = Term(Fraction(3, 2), 2, 1, GR(-1, 2))
+    assert hash(t) == hash((t.coeff, t.tpow, t.logpow, t.exponent))
+    r = RealTerm(Fraction(-1, 3), 1, 0, Fraction(2), Fraction(1, 2), "sin")
+    assert hash(r) == hash((r.coeff, r.tpow, r.logpow, r.alpha, r.beta, r.kind))
+
+
+def test_term_never_equals_real_term():
+    assert Term(1) != RealTerm(1)
+    assert Term(GR(1)) != RealTerm(GR(1), 0, 0, GR(0), GR(0))
+    assert Term(1, 2, 0, 3) == Term(GR(1), 2, 0, GR(3))
+
+
+def test_term_key_and_exactness():
+    t = Term(1, 2, 1, GR(-1, 2))
+    assert t.key == (2, 1, GR(-1, 2))
+    assert t.is_exact() and not Term(1.0).is_exact() and not Term(1, 0, 0, 0.5).is_exact()
+    assert RealTerm(1, 1, 2, 3, 4, "sin").key == (3, 4, 1, 2, "sin")
+
+
+# ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
 
