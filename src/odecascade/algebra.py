@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import groupby
 from operator import attrgetter
@@ -59,22 +59,19 @@ REL_EPS = 1e-12
 _UNIT = complex(1.0, 0.0)
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(namedtuple("Term", "coeff tpow logpow exponent")):
     """One summand c * t^tpow * ln(t)^logpow * e^(exponent*t)."""
 
-    coeff: object
-    tpow: int = 0
-    logpow: int = 0
-    exponent: object = GaussianRational(0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", as_scalar(self.coeff))
-        object.__setattr__(self, "exponent", as_scalar(self.exponent))
-        if not isinstance(self.tpow, int) or not isinstance(self.logpow, int):
+    def __new__(cls, coeff, tpow=0, logpow=0, exponent=GaussianRational(0)):
+        coeff = as_scalar(coeff)
+        exponent = as_scalar(exponent)
+        if not isinstance(tpow, int) or not isinstance(logpow, int):
             raise TypeError("tpow and logpow must be integers")
-        if self.logpow < 0:
+        if logpow < 0:
             raise ValueError("logpow must be nonnegative")
+        return super().__new__(cls, coeff, tpow, logpow, exponent)
 
     @property
     def key(self):
@@ -570,22 +567,17 @@ COS = "cos"
 SIN = "sin"
 
 
-@dataclass(frozen=True)
-class RealTerm:
+class RealTerm(namedtuple("RealTerm", "coeff tpow logpow alpha beta kind")):
     """One summand r * t^tpow * ln(t)^logpow * e^(alpha t) * cos/sin(beta t)."""
 
-    coeff: object
-    tpow: int = 0
-    logpow: int = 0
-    alpha: object = Fraction(0)
-    beta: object = Fraction(0)
-    kind: str = COS
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (COS, SIN):
+    def __new__(cls, coeff, tpow=0, logpow=0, alpha=Fraction(0), beta=Fraction(0), kind=COS):
+        if kind not in (COS, SIN):
             raise ValueError("kind must be 'cos' or 'sin'")
-        if isinstance(self.beta, (int, Fraction)) and self.beta < 0:
+        if isinstance(beta, (int, Fraction)) and beta < 0:
             raise ValueError("beta must be nonnegative")
+        return super().__new__(cls, coeff, tpow, logpow, alpha, beta, kind)
 
     @property
     def key(self):

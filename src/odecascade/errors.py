@@ -60,7 +60,8 @@ class NonConvergence(OdeCascadeError):
 
 class DegreeLimitExceeded(OdeCascadeError):
     """Polynomial degree above the supported cap for the numeric root path, or
-    an integer power of a sum that may have more terms than the parser's cap."""
+    a forcing over one of the parser's caps: terms of a power of a sum,
+    coefficient bits, or degree in t."""
 
 
 class NotFactorable(OdeCascadeError):

@@ -57,6 +57,14 @@ _VARIABLES = ("t", "x")
 #: (2,145 terms) would take about 17 s.
 POWER_TERM_CAP = 400
 
+#: Caps on the size of a forcing, checked on each power before any multiply
+#: and once on the finished forcing (see :func:`_check_size`): the most bits
+#: of any numerator or denominator of a coefficient part, and the highest
+#: power of t.  3^4000 (6,340 bits) and t^1000 solve in well under a second;
+#: 2^(10^9) and t^20000 would take 1-2 GB before failing.
+COEFF_BITS_CAP = 65536
+FORCING_DEGREE_CAP = 4000
+
 
 class SourceSpan(namedtuple("SourceSpan", "start end")):
     """Half-open byte range [start, end) into the input text."""
@@ -382,7 +390,8 @@ def _power(base: Expr, n: int) -> Expr:
     """base^n for n >= 0 by repeated squaring: the same canonical Expr as n
     multiplies, because lowering is exact.  Raises
     :class:`DegreeLimitExceeded`, before any multiply, when base^n may have
-    more than :data:`POWER_TERM_CAP` terms."""
+    more than :data:`POWER_TERM_CAP` terms or break a :func:`_check_size` cap."""
+    _check_size(base, n)
     bound = _power_terms_bound(base, n)
     if bound > POWER_TERM_CAP:
         raise DegreeLimitExceeded(
@@ -396,6 +405,25 @@ def _power(base: Expr, n: int) -> Expr:
         if n:
             square = multiply(square, square)
     return out
+
+
+def _check_size(e: Expr, n: int = 1) -> None:
+    """Raise :class:`DegreeLimitExceeded` when e^n may break a cap: n times
+    the largest numerator or denominator bit length of a coefficient part
+    above :data:`COEFF_BITS_CAP`, or n times the largest power of t above
+    :data:`FORCING_DEGREE_CAP`."""
+    what = "the forcing" if n == 1 else f"power ^{n}"
+    bits = max((p.bit_length() for t in e.terms for part in (t.coeff.re, t.coeff.im)
+                for p in (part.numerator, part.denominator)), default=0)
+    if n * bits > COEFF_BITS_CAP:
+        raise DegreeLimitExceeded(
+            f"{what} may have coefficients of {n * bits} bits, "
+            f"more than the cap of {COEFF_BITS_CAP}")
+    degree = max((t.tpow for t in e.terms), default=0)
+    if n * degree > FORCING_DEGREE_CAP:
+        raise DegreeLimitExceeded(
+            f"{what} has degree {n * degree} in t, "
+            f"more than the cap of {FORCING_DEGREE_CAP}")
 
 
 def _lower_call(node: _Call, variables: set) -> Expr:
@@ -462,6 +490,7 @@ def _lower_forcing(tokens: list[_Token]) -> tuple[Expr, str | None]:
     e = _lower(_parse_ast(tokens), variables)
     if len(variables) > 1:
         raise ParseError("mix of variables 't' and 'x' in one expression", None)
+    _check_size(e)
     return e, next(iter(variables), None)
 
 

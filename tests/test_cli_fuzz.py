@@ -185,6 +185,15 @@ def _case(name, args, code, message=None, seconds=None, **kw):
     # a power whose expansion has no bound on its work, refused before it starts
     _case("power-term-cap", ["solve", "y' + y = (exp(t)+sin(t))^64"], 1,
           "error: power ^64 of a 3-term expression may have 2145 terms", seconds=1.0),
+    # single-term powers that took 9-14 s and 1-2 GB before failing
+    _case("power-bits-cap", ["solve", "y' + y = 2^(10^9)"], 1,
+          "error: power ^1000000000 may have coefficients of 2000000000 bits",
+          seconds=1.0),
+    _case("power-degree-cap", ["solve", "y' + y = t^20000"], 1,
+          "error: power ^20000 has degree 20000 in t, more than the cap of 4000",
+          seconds=1.0),
+    _case("forcing-degree-cap", ["solve", "y' + y = t^3000*t^3000"], 1,
+          "error: the forcing has degree 6000 in t", seconds=1.0),
 ])
 def test_cli_regression(args, code, message, seconds):
     start = time.perf_counter()

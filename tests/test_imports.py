@@ -43,6 +43,16 @@ def test_cli_loads_no_click():
     assert proc.stdout.strip().splitlines()[-1] == "False"
 
 
+def test_cli_import_loads_no_dataclasses_or_introspection():
+    proc = _run("""
+        import sys
+        import odecascade.cli
+        print(sorted(m for m in ("dataclasses", "inspect", "ast", "dis") if m in sys.modules))
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_varcoef_runs_without_numpy_or_scipy():
     proc = _run("""
         import runpy

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from odecascade import (
+    DegreeLimitExceeded,
     Expr,
     GaussianRational as GR,
     NotLinearConstantCoefficient,
@@ -26,6 +27,7 @@ from odecascade import (
     term,
 )
 
+from odecascade.parsing import COEFF_BITS_CAP, FORCING_DEGREE_CAP
 from support import exprs_strategy, forcing_texts, ode_texts, real_exprs_strategy
 
 HALF = GR(Fraction(1, 2))
@@ -82,6 +84,19 @@ def test_parse_powers_and_sums():
     assert parse_forcing("ln(t)^3") == E(term(1, 0, 3))
     assert parse_forcing("t^(-2)") == E(term(1, -2))
     assert parse_forcing("0") == Expr.zero()
+
+
+def test_forcing_size_caps():
+    assert parse_forcing(f"t^{FORCING_DEGREE_CAP}") == E(term(1, FORCING_DEGREE_CAP))
+    assert parse_forcing(f"2^{COEFF_BITS_CAP // 2}") == E(term(2 ** (COEFF_BITS_CAP // 2)))
+    assert parse_forcing("3^4000") == E(term(3 ** 4000))
+    assert parse_forcing("t^(-5000)") == E(term(1, -5000))
+    for text in (f"t^{FORCING_DEGREE_CAP + 1}", f"2^{COEFF_BITS_CAP // 2 + 1}",
+                 "t^3000*t^3000", "t^2000*(t^2000+1)*t", "2^(10^9)", "(t^2+1)^3000"):
+        with pytest.raises(DegreeLimitExceeded):
+            parse_forcing(text)
+    with pytest.raises(DegreeLimitExceeded, match="degree 5000 in t"):
+        parse_ode("y' = t^5000")
 
 
 def test_parse_imaginary_literal_extension():
