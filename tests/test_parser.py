@@ -26,8 +26,8 @@ from odecascade import (
     render,
     term,
 )
-
 from odecascade.parsing import COEFF_BITS_CAP, FORCING_DEGREE_CAP
+
 from support import exprs_strategy, forcing_texts, ode_texts, real_exprs_strategy
 
 HALF = GR(Fraction(1, 2))
