@@ -1,8 +1,10 @@
 """Characteristic roots, exact and numeric, and why resonance is free.
 
-The exact path finds rational roots by divisor search and Gaussian-rational
-quadratic pairs in closed form.  Anything else falls back to a simultaneous
-Aberth iteration with multiplicity-aware Newton polishing and clustering.
+The exact path finds every Gaussian-rational root with its multiplicity:
+candidates come from the square-free part p / gcd(p, p') and each one counts
+only if its integer factor divides p exactly.  Anything else falls back to a
+simultaneous Aberth iteration with multiplicity-aware Newton polishing and
+clustering.
 
 Resonance (a forcing rate that equals a characteristic root) needs no
 special handling in the cascade: the shifted integrand's rate cancels to
@@ -27,7 +29,8 @@ from odecascade import (
 
 print("exact roots")
 print("-" * 72)
-for text in ["y'' + 5y' + 6y = 0", "y'' - 4y' + 4y = 0", "y'' - 2y' + 5y = 0"]:
+for text in ["y'' + 5y' + 6y = 0", "y'' - 4y' + 4y = 0", "y'' - 2y' + 5y = 0",
+             "y'''' + 2y'' + y = 0"]:
     ode = parse_ode(text)
     roots = find_roots(CharPoly(ode.coeffs))
     bits = ", ".join(f"{e.value} (x{e.multiplicity})" for e in roots.entries)
@@ -37,7 +40,7 @@ print()
 print("numeric path with a planted triple root: (r-1)^3 (r+2)")
 print("-" * 72)
 p = CharPoly((-2.0, 5.0, -3.0, -1.0, 1.0))
-for entry in find_roots(p, method="numeric").entries:
+for entry in find_roots(p).entries:
     print(f"  root {complex(entry.value):.2e}  multiplicity {entry.multiplicity}")
 
 print()

@@ -21,7 +21,7 @@ import time
 from . import __version__
 from .algebra import Expr, RealTerm, evaluate
 from .cascade import particular_solution
-from .errors import NotClosedForm, OdeCascadeError, ParseError, VerificationFailed
+from .errors import NonConvergence, NotClosedForm, OdeCascadeError, ParseError, VerificationFailed
 from .parsing import (
     _digit_limit,
     _real_part_json,
@@ -115,8 +115,8 @@ def solve(ode_text, as_json, as_latex, show_steps, force_exact, force_float):
     if force_float:
         ode = ode.to_float()
     t0 = time.perf_counter()
-    if force_exact:
-        find_roots(characteristic(ode), method="exact")
+    if force_exact and not find_roots(characteristic(ode)).all_exact():
+        raise NonConvergence("roots are not expressible as Gaussian rationals", ())
     _, trace = particular_solution(ode)
     elapsed = time.perf_counter() - t0
 

@@ -60,10 +60,17 @@ POWER_TERM_CAP = 400
 #: Caps on the size of a forcing, checked on each power before any multiply
 #: and once on the finished forcing (see :func:`_check_size`): the most bits
 #: of any numerator or denominator of a coefficient part, and the highest
-#: power of t.  3^4000 (6,340 bits) and t^1000 solve in well under a second;
-#: 2^(10^9) and t^20000 would take 1-2 GB before failing.
+#: power of t plus power of ln(t) of one term.  3^4000 (6,340 bits) and
+#: t^1000 solve in well under a second; 2^(10^9), t^20000 and ln(t)^20000
+#: would take 1-2 GB before failing.
 COEFF_BITS_CAP = 65536
 FORCING_DEGREE_CAP = 4000
+
+#: Highest derivative order of an equation, checked before its coefficient
+#: vector is built.  Exact root finding on a dense order-64 polynomial with
+#: small coefficients ends well under a second; its work grows with at least
+#: the square of the order.
+ORDER_CAP = 64
 
 
 class SourceSpan(namedtuple("SourceSpan", "start end")):
@@ -410,8 +417,8 @@ def _power(base: Expr, n: int) -> Expr:
 def _check_size(e: Expr, n: int = 1) -> None:
     """Raise :class:`DegreeLimitExceeded` when e^n may break a cap: n times
     the largest numerator or denominator bit length of a coefficient part
-    above :data:`COEFF_BITS_CAP`, or n times the largest power of t above
-    :data:`FORCING_DEGREE_CAP`."""
+    above :data:`COEFF_BITS_CAP`, or n times the largest tpow + logpow of a
+    term above :data:`FORCING_DEGREE_CAP`."""
     what = "the forcing" if n == 1 else f"power ^{n}"
     bits = max((p.bit_length() for t in e.terms for part in (t.coeff.re, t.coeff.im)
                 for p in (part.numerator, part.denominator)), default=0)
@@ -419,10 +426,11 @@ def _check_size(e: Expr, n: int = 1) -> None:
         raise DegreeLimitExceeded(
             f"{what} may have coefficients of {n * bits} bits, "
             f"more than the cap of {COEFF_BITS_CAP}")
-    degree = max((t.tpow for t in e.terms), default=0)
+    degree = max((t.tpow + t.logpow for t in e.terms), default=0)
     if n * degree > FORCING_DEGREE_CAP:
+        logs = " and ln(t)" if any(t.logpow for t in e.terms) else ""
         raise DegreeLimitExceeded(
-            f"{what} has degree {n * degree} in t, "
+            f"{what} has degree {n * degree} in t{logs}, "
             f"more than the cap of {FORCING_DEGREE_CAP}")
 
 
@@ -526,6 +534,9 @@ def parse_ode(text: str) -> LinearODE:
         raise NotLinearConstantCoefficient(
             "the equation must involve at least y'", None
         )
+    if order > ORDER_CAP:
+        raise DegreeLimitExceeded(
+            f"the equation has order {order}, more than the cap of {ORDER_CAP}")
     vec = [coeffs.get(k, Fraction(0)) for k in range(order + 1)]
     if not vec[-1]:
         raise ParseError(f"leading coefficient of y^({order}) is zero", None)

@@ -1,10 +1,14 @@
 """Characteristic polynomial construction and root finding.
 
-The exact path finds every rational root by divisor search (deflating for
-multiplicity) and solves a remaining quadratic factor in closed form when its
-roots are Gaussian rationals.  Anything left over goes to a simultaneous
-Aberth-Ehrlich iteration with Newton polishing and cluster-based multiplicity
-detection.  The numeric path is capped at degree 12.
+The exact path finds every Gaussian-rational root in one route on integer
+coefficients: it clears denominators, takes the square-free part
+p / gcd(p, p') by a primitive pseudo-remainder sequence (Yun, SYMSAC '76),
+and gets candidates from it in closed form up to degree 2, else by rounding
+Aberth approximations z to round(L*z)/L, L its leading coefficient (Gauss's
+lemma in Z[i]).  Each candidate counts only if its integer factor divides p
+exactly, as many times as it divides.  What is left goes to a simultaneous
+Aberth-Ehrlich iteration with Newton polishing and cluster-based
+multiplicity detection, capped at degree 12.
 """
 
 from __future__ import annotations
@@ -19,6 +23,15 @@ from .model import LinearODE
 from .scalars import GaussianRational, rational_sqrt
 
 NUMERIC_DEGREE_CAP = 12
+
+#: A numeric root r is accepted when |p(r)| <= RESIDUAL_TOL * max|coeff|.
+RESIDUAL_TOL = 1e-10
+
+#: The exact route splits p square-free only while deg(p)^2 times the bits of
+#: its largest integer coefficient is at most this: the integer gcd grows with
+#: about its square (0.6 s at order 64 with 64 bits, 20 s at order 32 with
+#: 2,658 bits).  Above it candidates come from p itself, not its split.
+SPLIT_WORK_CAP = 2 ** 18
 
 #: Most Aberth sweeps the numeric root finder runs before its residual check.
 _MAX_SWEEPS = 200
@@ -62,17 +75,6 @@ class CharPoly(namedtuple("CharPoly", "coeffs")):
     def derivative(self) -> "CharPoly":
         return CharPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
-    def deflate(self, root):
-        """Synthetic division by (r - root); returns (quotient, remainder)."""
-        quot = []
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            quot.append(acc)
-        remainder = quot.pop()
-        quot.reverse()
-        return quot, remainder
-
 
 def characteristic(ode: LinearODE) -> CharPoly:
     """Characteristic polynomial of the equation: a_k copied by order."""
@@ -108,156 +110,137 @@ class RootSet(namedtuple("RootSet", "entries")):
         return tuple(out)
 
 
-def find_roots(p: CharPoly, tol: float = 1e-10, method: str = "auto") -> RootSet:
+def find_roots(p: CharPoly) -> RootSet:
     """All complex roots of p with multiplicities, exact where possible.
 
-    ``method`` is "auto" (exact path when the coefficients are rational,
-    numeric fallback for what remains), "exact" (fail if anything is left
-    over) or "numeric" (skip the exact path entirely).
+    Rational coefficients take the exact route first, and what it leaves
+    (roots that are not Gaussian rationals) goes to the numeric path, as do
+    float coefficients.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     if p.degree < 1:
         raise ValueError("root finding needs degree at least 1")
-    if method not in ("auto", "exact", "numeric"):
-        raise ValueError(f"unknown method {method!r}")
-
-    entries: list[RootEntry] = []
-    remaining = p
-
-    if method != "numeric" and p.is_exact():
-        exact_entries, remaining_coeffs = _exact_roots(
-            [Fraction(c) for c in p.coeffs]
-        )
-        entries.extend(exact_entries)
-        remaining = None
-        if len(remaining_coeffs) > 1:
-            if method == "exact":
-                raise NonConvergence(
-                    "roots are not expressible as Gaussian rationals", ()
-                )
-            try:
-                remaining = CharPoly(tuple(float(c) for c in remaining_coeffs))
-            except (OverflowError, ValueError) as exc:  # ValueError: lead underflows
-                raise OverflowGuard(
-                    f"a characteristic coefficient has no double value: {exc}"
-                ) from exc
-    elif method == "exact":
-        raise NonConvergence("exact root finding needs rational coefficients", ())
-
-    if remaining is not None:
-        entries.extend(_numeric_roots(remaining, tol))
-
+    if not p.is_exact():
+        return RootSet(tuple(_numeric_roots(p)))
+    entries, leftover = _exact_roots(p.coeffs)
+    if len(leftover) > 1:
+        try:
+            remaining = CharPoly(tuple(float(c) for c in leftover))
+        except (OverflowError, ValueError) as exc:  # ValueError: lead underflows
+            raise OverflowGuard(
+                f"a characteristic coefficient has no double value: {exc}"
+            ) from exc
+        entries.extend(_numeric_roots(remaining))
     return RootSet(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
-# exact path
+# exact path: integer polynomials, ascending coefficients
 # ---------------------------------------------------------------------------
 
-_DIVISOR_LIMIT = 10 ** 12
+def _exact_roots(coeffs):
+    """Every Gaussian-rational root of a rational polynomial, with its
+    multiplicity.
 
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _exact_roots(coeffs: list[Fraction]):
-    """Rational roots by divisor search, then a Gaussian-rational quadratic.
-
-    Returns (entries, leftover_coeffs); leftover has no rational roots and,
-    if quadratic, no Gaussian-rational roots either.
+    Candidates come from the square-free part and each is checked by exact
+    division of its integer factor, so a missed candidate leaves a root
+    unfound but never gives a wrong one.  Returns (entries, leftover):
+    coeffs divided by the found roots' factors, with coeffs' leading
+    coefficient.
     """
+    p = square_free = _primitive(coeffs)
+    if (len(p) - 1) ** 2 * max(abs(c).bit_length() for c in p) <= SPLIT_WORK_CAP:
+        square_free = _divide(p, _gcd(p, _primitive(_poly_derivative(p))))
     entries: list[RootEntry] = []
+    for re, im in _candidates(square_free):
+        factor = _primitive([re * re + im * im, -2 * re, 1] if im else [-re, 1])
+        mult = 0
+        while (quot := _divide(p, factor)) is not None:
+            p, mult = quot, mult + 1
+        if mult:
+            entries.append(RootEntry(GaussianRational(re, im), mult, True))
+            if im:
+                entries.append(RootEntry(GaussianRational(re, -im), mult, True))
+    scale = Fraction(coeffs[-1]) / p[-1]
+    return entries, [c * scale for c in p]
 
-    # roots at zero
-    zero_mult = 0
-    while len(coeffs) > 1 and not coeffs[0]:
-        coeffs = coeffs[1:]
-        zero_mult += 1
-    if zero_mult:
-        entries.append(RootEntry(GaussianRational(0), zero_mult, True))
 
-    if len(coeffs) > 1:
-        # clear denominators and common factors for the divisor search
-        lcm = 1
-        for c in coeffs:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in coeffs]
-        g = 0
-        for v in ints:
-            g = math.gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-
-        if abs(ints[0]) <= _DIVISOR_LIMIT and abs(ints[-1]) <= _DIVISOR_LIMIT:
-            candidates = []
-            for pnum in _divisors(ints[0]):
-                for qden in _divisors(ints[-1]):
-                    cand = Fraction(pnum, qden)
-                    candidates.extend((cand, -cand))
-            poly = CharPoly(tuple(coeffs))
-            seen = set()
-            for cand in candidates:
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                mult = 0
-                while poly.degree >= 1 and poly.eval(cand) == 0:
-                    quot, _ = poly.deflate(cand)
-                    mult += 1
-                    if len(quot) == 1:
-                        poly = None
-                        break
-                    poly = CharPoly(tuple(quot))
-                if mult:
-                    entries.append(RootEntry(GaussianRational(cand), mult, True))
-                if poly is None or poly.degree < 1:
-                    break
-            coeffs = list(poly.coeffs) if poly is not None else [Fraction(1)]
-
-    if len(coeffs) == 2:
-        root = Fraction(-coeffs[0] / coeffs[1])
-        entries.append(RootEntry(GaussianRational(root), 1, True))
-        coeffs = [Fraction(1)]
-    elif len(coeffs) == 3:
-        a2, a1, a0 = coeffs[2], coeffs[1], coeffs[0]
-        disc = a1 * a1 - 4 * a2 * a0
+def _candidates(s: list[int]) -> list:
+    """Candidate roots (re, im), im >= 0, of the integer polynomial s,
+    square-free unless the split was skipped: closed forms up to degree 2,
+    else Aberth approximations z rounded to round(L*z)/L, L = lead(s).
+    L*rho is a Gaussian integer for every Gaussian-rational root rho
+    (Gauss's lemma in Z[i]), so a close enough z rounds to rho exactly."""
+    lead = s[-1]
+    if len(s) == 2:
+        return [(Fraction(-s[0], lead), Fraction(0))]
+    if len(s) == 3:
+        disc = Fraction(s[1] * s[1] - 4 * lead * s[0])
+        root = rational_sqrt(abs(disc))
+        if root is None:
+            return []
         if disc < 0:
-            s = rational_sqrt(-disc)
-            if s is not None:
-                re = -a1 / (2 * a2)
-                im = s / (2 * a2)
-                entries.append(RootEntry(GaussianRational(re, abs(im)), 1, True))
-                entries.append(RootEntry(GaussianRational(re, -abs(im)), 1, True))
-                coeffs = [Fraction(1)]
-        else:
-            s = rational_sqrt(disc)
-            if s is not None:
-                for sgn in (1, -1):
-                    root = (-a1 + sgn * s) / (2 * a2)
-                    entries.append(RootEntry(GaussianRational(root), 1, True))
-                coeffs = [Fraction(1)]
+            return [(Fraction(-s[1], 2 * lead), abs(root / (2 * lead)))]
+        return [((sign * root - s[1]) / (2 * lead), Fraction(0)) for sign in (1, -1)]
+    out = []
+    try:
+        approx, _ = _aberth([complex(c / lead) for c in s])
+    except OverflowError:  # a coefficient ratio or an iterate past double range
+        return out
+    for z in approx:
+        try:
+            re, im = round(lead * z.real), round(lead * z.imag)
+        except (OverflowError, ValueError):  # infinite or NaN
+            continue
+        out.append((Fraction(re, lead), Fraction(abs(im), lead)))
+    return out
 
-    # merge duplicated values defensively
-    merged: dict = {}
-    for e in entries:
-        if e.value in merged:
-            old = merged[e.value]
-            merged[e.value] = RootEntry(e.value, old.multiplicity + e.multiplicity,
-                                        old.exact and e.exact)
-        else:
-            merged[e.value] = e
-    return list(merged.values()), coeffs
+
+def _primitive(coeffs) -> list[int]:
+    """Integer multiple of a rational polynomial with coprime coefficients."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = math.gcd(*ints)
+    return [v // g for v in ints]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of lead(b)^k * a divided by b, in integers (empty for 0)."""
+    r, lead, n = list(a), b[-1], len(b) - 1
+    while len(r) > n:
+        top = r.pop()
+        shift = len(r) - n
+        r = [lead * c for c in r]
+        for k in range(n):
+            r[shift + k] -= top * b[k]
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd of two primitive integer polynomials, up to sign, by a primitive
+    pseudo-remainder sequence."""
+    while len(b) > 1:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _divide(a: list[int], d: list[int]):
+    """a / d when the integer polynomial d divides a, else None.  For a
+    primitive d, an exact quotient over Q is an integer one (Gauss's lemma)."""
+    n = len(d) - 1
+    r, lead, quot = list(a), d[-1], []
+    for shift in range(len(a) - 1 - n, -1, -1):
+        q, rem = divmod(r[shift + n], lead)
+        if rem:
+            return None
+        quot.append(q)
+        for k in range(n):
+            r[shift + k] -= q * d[k]
+    return None if any(r[:n]) else quot[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +264,43 @@ def _residual_bound(coeffs: list[complex], z: complex) -> float:
     return s
 
 
-def _numeric_roots(p: CharPoly, tol: float) -> list[RootEntry]:
+def _aberth(monic: list[complex]):
+    """Simultaneous Aberth-Ehrlich sweeps on a monic polynomial of degree
+    n >= 1; returns (the n approximations, sweeps run)."""
+    n = len(monic) - 1
+    radius = 1.0 + max(abs(c) for c in monic[:-1])
+    roots = [radius * 0.8 * cmath.exp(2j * math.pi * k / n + 0.4j) for k in range(n)]
+    eps = 2.22e-16
+    sweeps_used = 0
+    for sweep in range(_MAX_SWEEPS):
+        sweeps_used = sweep + 1
+        max_step = 0.0
+        converged = True
+        for i in range(n):
+            z = roots[i]
+            pv, dpv = _horner_pair(monic, z)
+            if abs(pv) > 8 * n * eps * _residual_bound(monic, z):
+                converged = False
+            if pv == 0:
+                continue
+            if dpv == 0:
+                roots[i] = z + 1e-8 * (1 + abs(z))
+                continue
+            w = pv / dpv
+            s = 0j
+            for j in range(n):
+                if j != i and roots[i] != roots[j]:
+                    s += 1.0 / (roots[i] - roots[j])
+            denom = 1.0 - w * s
+            step = w if denom == 0 else w / denom
+            roots[i] = z - step
+            max_step = max(max_step, abs(step) / (1.0 + abs(roots[i])))
+        if converged or max_step < 1e-15:
+            break
+    return roots, sweeps_used
+
+
+def _numeric_roots(p: CharPoly) -> list[RootEntry]:
     degree = p.degree
     if degree > NUMERIC_DEGREE_CAP:
         raise DegreeLimitExceeded(
@@ -298,42 +317,9 @@ def _numeric_roots(p: CharPoly, tol: float) -> list[RootEntry]:
     while len(monic) > 1 and monic[0] == 0:
         monic = monic[1:]
         zero_mult += 1
-    n = len(monic) - 1
 
-    roots: list[complex] = []
-    sweeps_used = 0
-    if n >= 1:
-        radius = 1.0 + max(abs(c) for c in monic[:-1])
-        roots = [
-            radius * 0.8 * cmath.exp(2j * math.pi * k / n + 0.4j) for k in range(n)
-        ]
-        eps = 2.22e-16
-        for sweep in range(_MAX_SWEEPS):
-            sweeps_used = sweep + 1
-            max_step = 0.0
-            converged = True
-            for i in range(n):
-                z = roots[i]
-                pv, dpv = _horner_pair(monic, z)
-                if abs(pv) > 8 * n * eps * _residual_bound(monic, z):
-                    converged = False
-                if pv == 0:
-                    continue
-                if dpv == 0:
-                    roots[i] = z + 1e-8 * (1 + abs(z))
-                    continue
-                w = pv / dpv
-                s = 0j
-                for j in range(n):
-                    if j != i and roots[i] != roots[j]:
-                        s += 1.0 / (roots[i] - roots[j])
-                denom = 1.0 - w * s
-                step = w if denom == 0 else w / denom
-                roots[i] = z - step
-                max_step = max(max_step, abs(step) / (1.0 + abs(roots[i])))
-            if converged or max_step < 1e-15:
-                break
-
+    roots, sweeps_used = _aberth(monic) if len(monic) > 1 else ([], 0)
+    if roots:
         roots = _polish(monic, roots)
 
         scale = max(abs(z) for z in roots)
@@ -349,7 +335,7 @@ def _numeric_roots(p: CharPoly, tol: float) -> list[RootEntry]:
     for e in entries:
         res = abs(p.eval(complex(e.value)))
         residuals.append(res)
-        if res > tol * coeff_scale:
+        if res > RESIDUAL_TOL * coeff_scale:
             raise NonConvergence(
                 f"root iteration did not meet the residual bound after "
                 f"{sweeps_used} sweeps (|p(r)| = {res:.3e} at r = {e.value})",

@@ -208,13 +208,13 @@ def test_criterion_10_numeric_root_recovery():
             deg = rng.randint(2, 8)
             roots = _plant(rng, deg)
             coeffs = _expand(roots)
-            rs = find_roots(CharPoly(tuple(coeffs)), method="numeric")
+            rs = find_roots(CharPoly(tuple(coeffs)))
             found = [complex(v) for v in rs.expand()]
             assert len(found) == deg
             for r in roots:
                 assert min(abs(f - r) for f in found) <= 1e-8
 
-        rs = find_roots(CharPoly((-2.0, 5.0, -3.0, -1.0, 1.0)), method="numeric")
+        rs = find_roots(CharPoly((-2.0, 5.0, -3.0, -1.0, 1.0)))
         got = sorted((round(complex(e.value).real, 6),
                       round(complex(e.value).imag, 6), e.multiplicity)
                      for e in rs.entries)
@@ -223,7 +223,7 @@ def test_criterion_10_numeric_root_recovery():
             target = 1.0 if e.multiplicity == 3 else -2.0
             assert abs(complex(e.value) - target) <= 1e-8
 
-        rs = find_roots(CharPoly((4.0, -4.0, 5.0, -4.0, 1.0)), method="numeric")
+        rs = find_roots(CharPoly((4.0, -4.0, 5.0, -4.0, 1.0)))
         mults = sorted(e.multiplicity for e in rs.entries)
         assert mults == [1, 1, 2]
         for e in rs.entries:

@@ -1,8 +1,11 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import random
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -86,6 +89,63 @@ def test_solve_float_flag():
 def test_solve_exact_flag_refuses_irrational():
     result = run_cli(["solve", "y'' - 2y = exp(t)", "--exact"])
     assert result.exit_code == 1
+
+
+def _timed_cli(args, seconds=1.0):
+    start = time.perf_counter()
+    result = run_cli(args)
+    assert time.perf_counter() - start < seconds, args
+    return result
+
+
+def test_solve_exact_repeated_resonance():
+    # the roots +-i are double: the divisor search and the lone-quadratic
+    # case never found them
+    result = _timed_cli(["solve", "--exact", "y'''' + 2y'' + y = sin(t)"])
+    assert result.exit_code == 0, result.stderr
+    assert "0 + 1i (mult 2, exact), 0 - 1i (mult 2, exact)" in result.output
+    assert "residual:       exact-zero" in result.output
+
+
+def test_solve_two_gaussian_pairs_exactly():
+    result = _timed_cli(["solve", "y'''' + 5y'' + 4y = cos(t)"])
+    assert result.exit_code == 0, result.stderr
+    assert "0 + 2i (mult 1, exact)" in result.output
+    assert "0 - 1i (mult 1, exact)" in result.output
+    assert "approx" not in result.output
+    assert "residual:       exact-zero" in result.output
+
+
+def test_huge_constant_coefficients_end_quickly():
+    # a divisor search over 963761198400 ran for more than 10 s
+    result = _timed_cli(["solve", "963761198400y''' + y' + 963761198400y = 1"])
+    assert result.exit_code == 0, result.stderr
+    assert "exact" not in result.output.split("roots:")[1].splitlines()[0]
+
+
+def test_order_over_the_cap_exits_1():
+    result = _timed_cli(["solve", "y^(100000000) + y = 1"])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: the equation has order 100000000")
+    assert len(result.stderr.splitlines()) == 1
+
+
+def test_dense_order_64_ends_quickly():
+    rng = random.Random(64)
+    lhs = " + ".join(f"{rng.randint(1, 9)}y^({k})" for k in range(64, -1, -1))
+    result = _timed_cli(["solve", f"{lhs} = 1"])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: numeric root finding is limited to degree 12")
+
+
+def test_dense_huge_coefficients_end_quickly():
+    # order 32 with 2,658-bit integer coefficients: splitting it square-free
+    # would take about 20 s, so the route works on p itself
+    sizes = itertools.cycle(["1e400", "3", "1e-400", "7/5"])
+    lhs = " + ".join(f"{next(sizes)}y^({k})" for k in range(32, -1, -1))
+    result = _timed_cli(["solve", f"{lhs} = 1"])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: a characteristic coefficient has no double value")
 
 
 def test_solve_json_round_trip():

@@ -3,9 +3,13 @@ documented exit code, never in a traceback.
 
 Inputs are grammar-shaped (``docs/grammar.ebnf``) or random text.  Sizes
 are bounded so every example runs in milliseconds: exponents at most 6,
-derivative order at most 4 in grammar-shaped text, ``--points`` at most 5, no
-``^`` in random text and no decimal exponent past four digits.  Unbounded
-sizes (``t^200000``, ``y^(10^20)``) are a separate matter: caps on the work.
+derivative order at most 4 in grammar-shaped text (or 10^8, which the
+parser's order cap refuses before any work), ``--points`` at most 5, no
+``^`` in random text and no decimal exponent past four digits.  The
+equation coefficients include 963761198400, which a divisor search over its
+6,720 divisors could not finish in seconds.  Sizes past the other caps
+(``t^200000``, ``ln(t)^20000``, powers of sums) are pinned by the
+regressions below.
 """
 
 import re
@@ -194,6 +198,11 @@ def _case(name, args, code, message=None, seconds=None, **kw):
           seconds=1.0),
     _case("forcing-degree-cap", ["solve", "y' + y = t^3000*t^3000"], 1,
           "error: the forcing has degree 6000 in t", seconds=1.0),
+    # a log power that ran 11.7 s into a MemoryError; at a nonzero rate it exited 3
+    _case("log-power-cap", ["solve", "y' = ln(t)^20000"], 1,
+          "error: power ^20000 has degree 20000 in t and ln(t)", seconds=1.0),
+    _case("log-power-cap-nonzero-rate", ["solve", "y' + y = ln(t)^20000"], 1,
+          "error: power ^20000 has degree 20000 in t and ln(t)", seconds=1.0),
 ])
 def test_cli_regression(args, code, message, seconds):
     start = time.perf_counter()

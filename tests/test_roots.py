@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odecascade import (
     CharPoly,
@@ -14,6 +16,7 @@ from odecascade import (
     expand_from_roots,
     find_roots,
     parse_ode,
+    roots,
 )
 
 
@@ -89,7 +92,7 @@ def test_exact_path_handles_high_degree_rational_roots():
 
 def test_planted_triple_root_clusters():
     # (r-1)^3 (r+2) = r^4 - r^3 - 3r^2 + 5r - 2, expanded by hand
-    rs = find_roots(CharPoly((-2.0, 5.0, -3.0, -1.0, 1.0)), method="numeric")
+    rs = find_roots(CharPoly((-2.0, 5.0, -3.0, -1.0, 1.0)))
     assert len(rs.entries) == 2
     for e in rs.entries:
         if e.multiplicity == 3:
@@ -102,7 +105,7 @@ def test_planted_triple_root_clusters():
 
 def test_planted_double_plus_imaginary_pair():
     # (r-2)^2 (r^2+1) = r^4 - 4r^3 + 5r^2 - 4r + 4
-    rs = find_roots(CharPoly((4.0, -4.0, 5.0, -4.0, 1.0)), method="numeric")
+    rs = find_roots(CharPoly((4.0, -4.0, 5.0, -4.0, 1.0)))
     mults = sorted(e.multiplicity for e in rs.entries)
     assert mults == [1, 1, 2]
     for e in rs.entries:
@@ -118,7 +121,7 @@ def test_numeric_conjugate_symmetry():
         deg = rng.randint(2, 8)
         roots = _plant_separated_roots(rng, deg)
         coeffs = _expand_float(roots)
-        rs = find_roots(CharPoly(tuple(coeffs)), method="numeric")
+        rs = find_roots(CharPoly(tuple(coeffs)))
         values = [complex(e.value) for e in rs.entries for _ in range(e.multiplicity)]
         assert rs.degree == deg
         for v in values:
@@ -141,7 +144,7 @@ def test_reconstruction_invariant_numeric():
         deg = rng.randint(2, 6)
         roots = _plant_separated_roots(rng, deg)
         coeffs = _expand_float(roots)
-        rs = find_roots(CharPoly(tuple(coeffs)), method="numeric")
+        rs = find_roots(CharPoly(tuple(coeffs)))
         rebuilt = expand_from_roots(rs.entries, 1.0)
         scale = max(abs(c) for c in coeffs)
         for got, want in zip(rebuilt, coeffs):
@@ -154,7 +157,7 @@ def test_multiplicity_sum_always_matches_degree():
         deg = rng.randint(1, 8)
         roots = _plant_separated_roots(rng, deg)
         coeffs = _expand_float(roots)
-        assert find_roots(CharPoly(tuple(coeffs)), method="numeric").degree == deg
+        assert find_roots(CharPoly(tuple(coeffs))).degree == deg
 
 
 def test_root_ordering_is_descending():
@@ -163,22 +166,97 @@ def test_root_ordering_is_descending():
     assert keys == sorted(keys, reverse=True)
 
 
-def test_nonconvergence_reports_residuals():
+def test_nonconvergence_reports_residuals(monkeypatch):
     # sqrt(2) cannot satisfy an absurdly tight residual bound in floats
+    monkeypatch.setattr(roots, "RESIDUAL_TOL", 1e-300)
     with pytest.raises(NonConvergence) as err:
-        find_roots(CharPoly((-2.0, 0.0, 1.0)), tol=1e-300, method="numeric")
+        find_roots(CharPoly((-2.0, 0.0, 1.0)))
     assert err.value.residuals
 
 
 def test_degree_cap_numeric():
     coeffs = tuple(float(k + 1) for k in range(14))
     with pytest.raises(DegreeLimitExceeded):
-        find_roots(CharPoly(coeffs), method="numeric")
+        find_roots(CharPoly(coeffs))
 
 
 def test_exact_method_refuses_irrational():
-    with pytest.raises(NonConvergence):
-        find_roots(CharPoly((Fraction(-2), Fraction(0), Fraction(1))), method="exact")
+    # sqrt(2) is not a Gaussian rational, so its roots come back approximate
+    rs = find_roots(CharPoly((Fraction(-2), Fraction(0), Fraction(1))))
+    assert not rs.all_exact()
+    assert not any(e.exact for e in rs.entries)
+
+
+# ---------------------------------------------------------------------------
+# the exact route: square-free part, checked candidates, exact division
+# ---------------------------------------------------------------------------
+
+def _exact_poly(planted, lead=1):
+    coeffs = expand_from_roots([RootEntry(v, m, True) for v, m in planted.items()],
+                               GR(lead))
+    return CharPoly(tuple(Fraction(c.re) for c in coeffs))
+
+
+_parts = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+_positive_parts = st.builds(Fraction, st.integers(1, 6), st.integers(1, 6))
+
+
+@st.composite
+def _planted_roots(draw):
+    """{root: multiplicity} of at most 12 distinct Gaussian rationals with
+    denominators 1-6: up to four conjugate pairs, then real roots."""
+    pairs = draw(st.lists(st.tuples(_parts, _positive_parts, st.integers(1, 3)),
+                          max_size=4, unique_by=lambda p: p[:2]))
+    reals = draw(st.lists(st.tuples(_parts, st.integers(1, 3)),
+                          min_size=0 if pairs else 1, max_size=12 - 2 * len(pairs),
+                          unique_by=lambda r: r[0]))
+    planted = {GR(x): m for x, m in reals}
+    for x, y, m in pairs:
+        planted[GR(x, y)] = planted[GR(x, -y)] = m
+    return planted
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_planted_roots(), st.sampled_from([1, 2, 3, 7]))
+def test_exact_route_finds_planted_gaussian_rationals(planted, lead):
+    rs = find_roots(_exact_poly(planted, lead))
+    assert rs.all_exact()
+    assert {e.value: e.multiplicity for e in rs.entries} == planted
+
+
+@pytest.mark.parametrize("values", [range(1, 14), range(-8, 9)], ids=["1..13", "-8..8"])
+def test_exact_route_keeps_wide_integer_roots(values):
+    # degree 13 and 17, above the numeric cap: the divisor search found these
+    planted = {GR(k): 1 for k in values}
+    rs = find_roots(_exact_poly(planted))
+    assert rs.all_exact()
+    assert {e.value: e.multiplicity for e in rs.entries} == planted
+
+
+def test_exact_route_rejects_irrational_repeated_pair():
+    # (r^2 + 5)^2: the rounded candidates +-2i fail the exact division
+    rs = find_roots(CharPoly((Fraction(25), Fraction(0), Fraction(10), Fraction(0),
+                              Fraction(1))))
+    assert not any(e.exact for e in rs.entries)
+    assert rs.degree == 4
+
+
+def test_exact_route_leftover_keeps_the_leading_coefficient():
+    # 2(r - 1)(r^2 - 2): the numeric path gets 2r^2 - 4, as before
+    entries, leftover = roots._exact_roots(
+        (Fraction(4), Fraction(-4), Fraction(-2), Fraction(2)))
+    assert entries == [RootEntry(GR(1), 1, True)]
+    assert leftover == [Fraction(-4), Fraction(0), Fraction(2)]
+
+
+def test_square_free_split_helpers():
+    # p = (r - 1)^2 (r + 2) = r^3 - 3r + 2
+    p = [2, -3, 0, 1]
+    g = roots._gcd(p, roots._primitive(roots._poly_derivative(p)))
+    assert g in ([-1, 1], [1, -1])
+    assert roots._divide(p, [-1, 1]) == [-2, 1, 1]
+    assert roots._divide(p, [1, 2]) is None  # r = -1/2 is not a root
+    assert roots._divide([1, 0, 1], [1, 2]) is None
 
 
 # ---------------------------------------------------------------------------
