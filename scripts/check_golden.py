@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Check every recorded seed of ``bench/golden.json`` against this tree.
 
-    python3 scripts/check_golden.py            # every workload, seeds 0..49
-    python3 scripts/check_golden.py small_mix  # one workload
+    python3 scripts/check_golden.py   # every workload, seeds 0..49
 
 Solves each seed's inputs with ``bench/run.seed_record`` and compares the
 result with ``golden.json`` by the benchmark's own rule (``run.check_record``):
@@ -23,10 +22,10 @@ sys.path.insert(0, str(BENCH))
 import run  # noqa: E402  (bench/ is not a package)
 
 
-def main(argv) -> int:
+def main() -> int:
     sys.path.insert(0, str(run.SRC))
     problems = 0
-    for workload in argv or run.WORKLOADS:
+    for workload in run.WORKLOADS:
         for seed in range(run.GOLDEN_SEEDS):
             observed, failed = run.seed_record(workload, seed)
             found = failed + run.check_record(workload, seed, observed, run.Report())
@@ -38,4 +37,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -45,6 +45,7 @@ from .errors import (
     UnsupportedFunction,
 )
 from .model import LinearODE
+from .roots import ORDER_CAP
 from .scalars import GaussianRational
 
 _FUNCTIONS = ("exp", "sin", "cos", "ln")
@@ -65,12 +66,6 @@ POWER_TERM_CAP = 400
 #: would take 1-2 GB before failing.
 COEFF_BITS_CAP = 65536
 FORCING_DEGREE_CAP = 4000
-
-#: Highest derivative order of an equation, checked before its coefficient
-#: vector is built.  Exact root finding on a dense order-64 polynomial with
-#: small coefficients ends well under a second; its work grows with at least
-#: the square of the order.
-ORDER_CAP = 64
 
 
 class SourceSpan(namedtuple("SourceSpan", "start end")):

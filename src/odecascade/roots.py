@@ -24,6 +24,11 @@ from .scalars import GaussianRational, rational_sqrt
 
 NUMERIC_DEGREE_CAP = 12
 
+#: Highest degree find_roots takes and order parse_ode takes: the exact route
+#: grows with at least the square of the degree and ends well under a second
+#: on a dense degree-64 polynomial with small coefficients.
+ORDER_CAP = 64
+
 #: A numeric root r is accepted when |p(r)| <= RESIDUAL_TOL * max|coeff|.
 RESIDUAL_TOL = 1e-10
 
@@ -115,10 +120,13 @@ def find_roots(p: CharPoly) -> RootSet:
 
     Rational coefficients take the exact route first, and what it leaves
     (roots that are not Gaussian rationals) goes to the numeric path, as do
-    float coefficients.
+    float coefficients.  Above degree ORDER_CAP it refuses before any work.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree at least 1")
+    if p.degree > ORDER_CAP:
+        raise DegreeLimitExceeded(
+            f"root finding is limited to degree {ORDER_CAP}, got {p.degree}")
     if not p.is_exact():
         return RootSet(tuple(_numeric_roots(p)))
     entries, leftover = _exact_roots(p.coeffs)
@@ -271,9 +279,7 @@ def _aberth(monic: list[complex]):
     radius = 1.0 + max(abs(c) for c in monic[:-1])
     roots = [radius * 0.8 * cmath.exp(2j * math.pi * k / n + 0.4j) for k in range(n)]
     eps = 2.22e-16
-    sweeps_used = 0
-    for sweep in range(_MAX_SWEEPS):
-        sweeps_used = sweep + 1
+    for sweeps_used in range(1, _MAX_SWEEPS + 1):
         max_step = 0.0
         converged = True
         for i in range(n):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,13 +10,16 @@ from hypothesis import strategies as st
 from odecascade import (
     CharPoly,
     DegreeLimitExceeded,
+    Expr,
     GaussianRational as GR,
+    LinearODE,
     NonConvergence,
     RootEntry,
     characteristic,
     expand_from_roots,
     find_roots,
     parse_ode,
+    particular_solution,
     roots,
 )
 
@@ -178,6 +182,20 @@ def test_degree_cap_numeric():
     coeffs = tuple(float(k + 1) for k in range(14))
     with pytest.raises(DegreeLimitExceeded):
         find_roots(CharPoly(coeffs))
+
+
+def test_order_cap_bounds_find_roots():
+    # r^500 + 1 would pass the split and run Aberth at degree 500
+    t0 = time.perf_counter()
+    for p in (CharPoly((Fraction(1),) + (Fraction(0),) * 499 + (Fraction(1),)),
+              CharPoly((0.0,) * 65 + (1.0,))):
+        with pytest.raises(DegreeLimitExceeded, match="limited to degree 64, got"):
+            find_roots(p)
+    with pytest.raises(DegreeLimitExceeded):
+        particular_solution(LinearODE((Fraction(0),) * 70 + (Fraction(1),), Expr.zero()))
+    assert time.perf_counter() - t0 < 1.0
+    rs = find_roots(CharPoly((Fraction(0),) * 64 + (Fraction(1),)))
+    assert rs.entries == (RootEntry(GR(0), 64, True),)
 
 
 def test_exact_method_refuses_irrational():
