@@ -2,9 +2,9 @@
 
 The exact path finds every Gaussian-rational root with its multiplicity:
 candidates come from the square-free part p / gcd(p, p') and each one counts
-only if its integer factor divides p exactly.  Anything else falls back to a
-simultaneous Aberth iteration with multiplicity-aware Newton polishing and
-clustering.
+only if its integer factor divides p exactly.  What is left splits into
+square-free factors with exact multiplicities, and only those factors go to
+a simultaneous Aberth iteration with a few Newton steps.
 
 Resonance (a forcing rate that equals a characteristic root) needs no
 special handling in the cascade: the shifted integrand's rate cancels to
@@ -37,11 +37,12 @@ for text in ["y'' + 5y' + 6y = 0", "y'' - 4y' + 4y = 0", "y'' - 2y' + 5y = 0",
     print(f"  {text:<28} ->  {bits}")
 
 print()
-print("numeric path with a planted triple root: (r-1)^3 (r+2)")
+print("numeric path on a square-free factor: (r^2-2)^2 (r+1) = r^5 + r^4 - 4r^3 - 4r^2 + 4r + 4")
 print("-" * 72)
-p = CharPoly((-2.0, 5.0, -3.0, -1.0, 1.0))
-for entry in find_roots(p).entries:
-    print(f"  root {complex(entry.value):.2e}  multiplicity {entry.multiplicity}")
+p = CharPoly(tuple(Fraction(c) for c in (4, 4, -4, -4, 1, 1)))
+for entry in find_roots(p).entries:  # every root is real here
+    kind = "exact" if entry.exact else "approx"
+    print(f"  root {complex(entry.value).real!r:<20}  multiplicity {entry.multiplicity}  {kind}")
 
 print()
 print("resonant forcing: q = t^2 e^{2t} against roots (2, 2)")

@@ -113,7 +113,7 @@ def solve(ode_text, as_json, as_latex, show_steps, force_exact, force_float):
         _fail("--exact and --float are mutually exclusive")
     ode = parse_ode(ode_text)
     if force_float:
-        ode = ode.to_float()
+        ode = ode._replace(forcing=ode.to_float().forcing)
     t0 = time.perf_counter()
     if force_exact and not find_roots(characteristic(ode)).all_exact():
         raise NonConvergence("roots are not expressible as Gaussian rationals", ())
@@ -243,7 +243,9 @@ def _parser() -> argparse.ArgumentParser:
             ("--latex", "as_latex", "render results as LaTeX"),
             ("--steps", "show_steps", "include the stage trace"),
             ("--exact", "force_exact", "require exact (Gaussian-rational) arithmetic"),
-            ("--float", "force_float", "force approximate (floating) arithmetic")):
+            ("--float", "force_float",
+             "run the cascade and the residual check in floats; coefficients "
+             "and Gaussian-rational roots stay exact")):
         sub.add_argument(flag, dest=dest, action="store_true", help=text)
     for sub in (command("roots", roots, "ode_text"),
                 command("verify", verify, "ode_text", "candidate_text")):

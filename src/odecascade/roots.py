@@ -6,9 +6,14 @@ p / gcd(p, p') by a primitive pseudo-remainder sequence (Yun, SYMSAC '76),
 and gets candidates from it in closed form up to degree 2, else by rounding
 Aberth approximations z to round(L*z)/L, L its leading coefficient (Gauss's
 lemma in Z[i]).  Each candidate counts only if its integer factor divides p
-exactly, as many times as it divides.  What is left goes to a simultaneous
-Aberth-Ehrlich iteration with Newton polishing and cluster-based
-multiplicity detection, capped at degree 12.
+exactly, as many times as it divides.  Float coefficients take the same
+route, since a float is exactly a dyadic rational.
+
+What is left splits into coprime square-free factors with their
+multiplicities by Musser's gcd loop, so exact algebra, not a radius, sets
+every multiplicity.  Each factor goes to a simultaneous Aberth-Ehrlich
+iteration with a few Newton steps, capped at degree 12, and each of its
+roots takes the factor's multiplicity.
 """
 
 from __future__ import annotations
@@ -35,23 +40,24 @@ RESIDUAL_TOL = 1e-10
 #: The exact route splits p square-free only while deg(p)^2 times the bits of
 #: its largest integer coefficient is at most this: the integer gcd grows with
 #: about its square (0.6 s at order 64 with 64 bits, 20 s at order 32 with
-#: 2,658 bits).  Above it candidates come from p itself, not its split.
+#: 2,658 bits).  Above it candidates come from p itself, not its split, and
+#: what the exact route leaves goes to the numeric path as one factor.
 SPLIT_WORK_CAP = 2 ** 18
 
 #: Most Aberth sweeps the numeric root finder runs before its residual check.
 _MAX_SWEEPS = 200
 
-#: Roots closer than CLUSTER_RADIUS * (1 + max|root|) merge into one entry.
-#: Multiple roots perturb as tol**(1/m), so this is much looser than the
-#: residual tolerance.
-CLUSTER_RADIUS = 1e-6
+#: A numeric root within REAL_AXIS_RADIUS * (1 + max|root|) of the real axis
+#: is taken as real.
+REAL_AXIS_RADIUS = 1e-6
 
 
 class CharPoly(namedtuple("CharPoly", "coeffs")):
     """p(r) = a_n r^n + ... + a_0, coefficients ascending, a_n != 0.
 
-    Characteristic polynomials have degree >= 1; degree 0 only appears in
-    internal derivative chains.
+    Coefficients are rationals or finite floats.  Characteristic
+    polynomials have degree >= 1; degree 0 only appears in internal
+    derivative chains.
     """
 
     __slots__ = ()
@@ -60,6 +66,9 @@ class CharPoly(namedtuple("CharPoly", "coeffs")):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("need at least one coefficient")
+        if not all(isinstance(c, (int, Fraction)) or isinstance(c, float) and math.isfinite(c)
+                   for c in coeffs):
+            raise ValueError("coefficients must be rational or finite floats")
         if len(coeffs) > 1 and not coeffs[-1]:
             raise ValueError("leading coefficient must be nonzero")
         return super().__new__(cls, coeffs)
@@ -67,9 +76,6 @@ class CharPoly(namedtuple("CharPoly", "coeffs")):
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def is_exact(self) -> bool:
-        return all(isinstance(c, (int, Fraction)) for c in self.coeffs)
 
     def eval(self, r):
         value = 0
@@ -118,26 +124,26 @@ class RootSet(namedtuple("RootSet", "entries")):
 def find_roots(p: CharPoly) -> RootSet:
     """All complex roots of p with multiplicities, exact where possible.
 
-    Rational coefficients take the exact route first, and what it leaves
-    (roots that are not Gaussian rationals) goes to the numeric path, as do
-    float coefficients.  Above degree ORDER_CAP it refuses before any work.
+    Every coefficient, a float too, takes the exact route as the rational it
+    holds.  What it leaves (roots that are not Gaussian rationals) is split
+    into square-free factors, and each goes to the numeric path.  Above
+    degree ORDER_CAP it refuses before any work.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree at least 1")
     if p.degree > ORDER_CAP:
         raise DegreeLimitExceeded(
             f"root finding is limited to degree {ORDER_CAP}, got {p.degree}")
-    if not p.is_exact():
-        return RootSet(tuple(_numeric_roots(p)))
-    entries, leftover = _exact_roots(p.coeffs)
+    entries, leftover = _exact_roots([Fraction(c) for c in p.coeffs])
     if len(leftover) > 1:
-        try:
-            remaining = CharPoly(tuple(float(c) for c in leftover))
-        except (OverflowError, ValueError) as exc:  # ValueError: lead underflows
-            raise OverflowGuard(
-                f"a characteristic coefficient has no double value: {exc}"
-            ) from exc
-        entries.extend(_numeric_roots(remaining))
+        for factor, mult in _square_free_factors(leftover):
+            try:
+                remaining = CharPoly(tuple(float(c) for c in factor))
+            except (OverflowError, ValueError) as exc:  # ValueError: lead underflows
+                raise OverflowGuard(
+                    f"a characteristic coefficient has no double value: {exc}"
+                ) from exc
+            entries.extend(_numeric_roots(remaining, mult))
     return RootSet(tuple(entries))
 
 
@@ -156,7 +162,7 @@ def _exact_roots(coeffs):
     coefficient.
     """
     p = square_free = _primitive(coeffs)
-    if (len(p) - 1) ** 2 * max(abs(c).bit_length() for c in p) <= SPLIT_WORK_CAP:
+    if _splits(p):
         square_free = _divide(p, _gcd(p, _primitive(_poly_derivative(p))))
     entries: list[RootEntry] = []
     for re, im in _candidates(square_free):
@@ -201,6 +207,29 @@ def _candidates(s: list[int]) -> list:
             continue
         out.append((Fraction(re, lead), Fraction(abs(im), lead)))
     return out
+
+
+def _square_free_factors(leftover) -> list:
+    """(factor, multiplicity) pairs, the factors coprime and square-free with
+    a product equal to the rational polynomial ``leftover`` up to a constant,
+    by Musser's gcd loop on integers.  A square-free leftover, or one past
+    SPLIT_WORK_CAP, is its own only factor, of multiplicity 1."""
+    p = _primitive(leftover)
+    rest = _gcd(p, _primitive(_poly_derivative(p))) if _splits(p) else [1]
+    if len(rest) == 1:  # else rest = prod a_i^(i-1) for p = prod a_i^i
+        return [(leftover, 1)]
+    distinct, out, mult = _divide(p, rest), [], 1  # distinct = prod a_i over i >= mult
+    while len(rest) > 1:
+        repeated = _gcd(distinct, rest)
+        if len(simple := _divide(distinct, repeated)) > 1:
+            out.append((simple, mult))
+        distinct, rest, mult = repeated, _divide(rest, repeated), mult + 1
+    return [*out, (distinct, mult)]
+
+
+def _splits(p: list[int]) -> bool:
+    """Whether the integer polynomial p is within SPLIT_WORK_CAP."""
+    return (len(p) - 1) ** 2 * max(abs(c).bit_length() for c in p) <= SPLIT_WORK_CAP
 
 
 def _primitive(coeffs) -> list[int]:
@@ -306,87 +335,55 @@ def _aberth(monic: list[complex]):
     return roots, sweeps_used
 
 
-def _numeric_roots(p: CharPoly) -> list[RootEntry]:
-    degree = p.degree
-    if degree > NUMERIC_DEGREE_CAP:
+def _numeric_roots(p: CharPoly, multiplicity: int) -> list[RootEntry]:
+    """Approximate roots of a square-free real p, each of the given
+    multiplicity, every one checked by the residual bound."""
+    if p.degree > NUMERIC_DEGREE_CAP:
         raise DegreeLimitExceeded(
             f"numeric root finding is limited to degree {NUMERIC_DEGREE_CAP}, "
-            f"got {degree}"
+            f"got {p.degree}"
         )
     coeffs = [complex(c) for c in p.coeffs]
-    lead = coeffs[-1]
-    monic = [c / lead for c in coeffs]
-    real_input = all(abs(c.imag) == 0.0 for c in coeffs)
-
-    # roots at exactly zero
-    zero_mult = 0
-    while len(monic) > 1 and monic[0] == 0:
-        monic = monic[1:]
-        zero_mult += 1
-
-    roots, sweeps_used = _aberth(monic) if len(monic) > 1 else ([], 0)
-    if roots:
-        roots = _polish(monic, roots)
-
-        scale = max(abs(z) for z in roots)
-        radius_tol = CLUSTER_RADIUS * (1.0 + scale)
-        if real_input:
-            roots = _symmetrize(roots, radius_tol)
-
-    entries = _cluster(roots, zero_mult)
+    monic = [c / coeffs[-1] for c in coeffs]
+    try:
+        roots, sweeps_used = _aberth(monic)
+    except OverflowError as exc:  # a coefficient ratio or an iterate past double range
+        raise OverflowGuard(f"numeric root finding left double range: {exc}") from exc
+    roots = _polish(monic, roots)
+    roots = _symmetrize(roots, REAL_AXIS_RADIUS * (1.0 + max(abs(z) for z in roots)))
 
     # residual acceptance: |p(r)| <= tol * max|coeff|
     coeff_scale = max(abs(c) for c in coeffs)
     residuals = []
-    for e in entries:
-        res = abs(p.eval(complex(e.value)))
+    for z in roots:
+        res = abs(p.eval(z))
         residuals.append(res)
         if res > RESIDUAL_TOL * coeff_scale:
             raise NonConvergence(
                 f"root iteration did not meet the residual bound after "
-                f"{sweeps_used} sweeps (|p(r)| = {res:.3e} at r = {e.value})",
+                f"{sweeps_used} sweeps (|p(r)| = {res:.3e} at r = {z})",
                 residuals=residuals,
             )
-    return entries
+    return [RootEntry(z, multiplicity, False) for z in roots]
 
 
-#: Approximations of an m-fold root stagnate at distance ~eps**(1/m); this
-#: radius groups them for multiplicity-aware polishing (reliable for
-#: multiplicities up to about 6 at double precision).
-_POLISH_RADIUS = 3e-3
+#: Newton steps longer than 10 * _STEP_RADIUS * (1 + max|root|) are not taken.
+_STEP_RADIUS = 3e-3
 
 
-def _poly_derivative(coeffs: list[complex]) -> list[complex]:
+def _poly_derivative(coeffs: list) -> list:
     return [k * c for k, c in enumerate(coeffs)][1:]
 
 
 def _polish(monic: list[complex], roots: list[complex]) -> list[complex]:
-    """Newton polishing with multiplicity awareness.
-
-    An approximation with m neighbors within the stagnation radius is taken
-    to sit near an m-fold root of p, which is a simple root of the (m-1)-th
-    derivative; Newton there converges to machine precision, making the
-    final 1e-6 clustering radius trivially sufficient.  A polished value is
-    kept only when it does not worsen |p|.
-    """
-    n = len(roots)
-    scale = max(abs(z) for z in roots)
-    loose = _POLISH_RADIUS * (1.0 + scale)
-    derivs = [monic]
-    for _ in range(n):
-        if len(derivs[-1]) <= 1:
-            break
-        derivs.append(_poly_derivative(derivs[-1]))
-
+    """At most three Newton steps per root; a polished value is kept only
+    when it does not worsen |p|."""
+    loose = _STEP_RADIUS * (1.0 + max(abs(z) for z in roots))
     out = []
-    for i in range(n):
-        z0 = roots[i]
-        mult = sum(1 for j in range(n) if abs(roots[j] - z0) <= loose)
-        mult = min(mult, len(derivs) - 1)
-        target = derivs[mult - 1] if mult >= 1 else monic
+    for z0 in roots:
         z = z0
-        for _ in range(8 if mult > 1 else 3):
-            pv, dpv = _horner_pair(target, z)
+        for _ in range(3):
+            pv, dpv = _horner_pair(monic, z)
             if dpv == 0 or pv == 0:
                 break
             step = pv / dpv
@@ -422,32 +419,6 @@ def _symmetrize(roots: list[complex], radius_tol: float) -> list[complex]:
             out[best_j] = avg.conjugate()
             used.add(best_j)
     return out
-
-
-def _cluster(roots: list[complex], zero_mult: int) -> list[RootEntry]:
-    entries: list[RootEntry] = []
-    if roots:
-        scale = max(abs(z) for z in roots)
-        radius = CLUSTER_RADIUS * (1.0 + scale)
-        remaining = list(roots)
-        while remaining:
-            seed = remaining.pop(0)
-            cluster = [seed]
-            changed = True
-            while changed:
-                changed = False
-                for z in list(remaining):
-                    if any(abs(z - c) <= radius for c in cluster):
-                        cluster.append(z)
-                        remaining.remove(z)
-                        changed = True
-            centroid = sum(cluster) / len(cluster)
-            if abs(centroid.imag) <= radius:
-                centroid = complex(centroid.real, 0.0)
-            entries.append(RootEntry(centroid, len(cluster), False))
-    if zero_mult:
-        entries.append(RootEntry(0j, zero_mult, False))
-    return entries
 
 
 def expand_from_roots(entries, lead=1):

@@ -86,6 +86,40 @@ def test_solve_float_flag():
     assert "zero-within-tolerance" in result.output
 
 
+def test_float_flag_keeps_a_six_fold_root_exact():
+    # Aberth on the float coefficients split the root 1 by ~4e-4, so no
+    # stage was resonant and the log term had no closed form (exit 3)
+    result = _timed_cli(["solve", "--float", "y^(6) - 6y^(5) + 15y^(4) - 20y''' + 15y'' "
+                         "- 6y' + y = 5*t^3*ln(t)*exp(t)"])
+    assert result.exit_code == 0, result.stderr
+    assert "roots:          1 (mult 6, exact)" in result.output
+    assert "residual:       zero-within-tolerance" in result.output
+
+
+def test_float_flag_double_root_from_decimal_coefficients():
+    # 0.01 and 0.2 as floats are not an exact square, so the float roots
+    # split and the residual check failed (exit 4)
+    result = _timed_cli(["solve", "--float", "y'' - 0.2y' + 0.01y = exp(0.1t)"])
+    assert result.exit_code == 0, result.stderr
+    assert "roots:          1/10 (mult 2, exact)" in result.output
+
+
+def test_squared_irrational_operator_solves():
+    # (D^2 - D - 1)^2: each golden-ratio root is double (exited 4)
+    result = _timed_cli(["solve", "y'''' - 2y''' - y'' + 2y' + y = sin(t)"])
+    assert result.exit_code == 0, result.stderr
+    assert result.output.count("(mult 2, approx)") == 2
+
+
+def test_numeric_overflow_is_one_error_line():
+    # the start radius 1e30 raised to the 12th power left double range
+    result = _timed_cli(["roots", "y^(12) + 1e30y = 0"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: numeric root finding left double range")
+    assert len(result.stderr.splitlines()) == 1
+
+
 def test_solve_exact_flag_refuses_irrational():
     result = run_cli(["solve", "y'' - 2y = exp(t)", "--exact"])
     assert result.exit_code == 1

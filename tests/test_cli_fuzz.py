@@ -182,6 +182,11 @@ def _case(name, args, code, message=None, seconds=None, **kw):
           "error: the leading coefficient underflows to zero as a float"),
     _case("float-roots-overflow", ["solve", "y + 1e400y''' = 0"], 1,
           "error: a characteristic coefficient has no double value"),
+    # a coefficient ratio that overflows the numeric root iteration
+    _case("numeric-roots-overflow", ["roots", "y^(12) + 1e30y = 0"], 1,
+          "error: numeric root finding left double range"),
+    _case("numeric-roots-overflow-float", ["solve", "--float", "y^(12) + 1e30y = 0"], 1,
+          "error: numeric root finding left double range"),
     # eval at an infinite t
     _case("eval-sine-at-infinity",
           ["eval", "y' = sin(t)", "--from", "0", "--to", "inf", "--points", "2"], 1,

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -94,17 +95,85 @@ def test_exact_path_handles_high_degree_rational_roots():
 # numeric path
 # ---------------------------------------------------------------------------
 
-def test_planted_triple_root_clusters():
-    # (r-1)^3 (r+2) = r^4 - r^3 - 3r^2 + 5r - 2, expanded by hand
+def test_float_triple_root_is_exact():
+    # (r-1)^3 (r+2) = r^4 - r^3 - 3r^2 + 5r - 2: float coefficients are the
+    # dyadic rationals they hold, so the exact route finds both roots
     rs = find_roots(CharPoly((-2.0, 5.0, -3.0, -1.0, 1.0)))
-    assert len(rs.entries) == 2
+    assert rs.entries == (RootEntry(GR(1), 3, True), RootEntry(GR(-2), 1, True))
+
+
+def test_repeated_irrational_factors_get_exact_multiplicities():
+    # (r^2 - 2)^2 (r^2 + r + 1)^3: the double -sqrt(2) came out 2.7e-9 off
+    # when a cluster radius set the multiplicities
+    p = _int_poly([-2, 0, 1], [-2, 0, 1], [1, 1, 1], [1, 1, 1], [1, 1, 1])
+    rs = find_roots(CharPoly(tuple(Fraction(c) for c in p)))
+    cube = complex(-0.5, 3 ** 0.5 / 2)
+    want = {2 ** 0.5: 2, -(2 ** 0.5): 2, cube: 3, cube.conjugate(): 3}
+    assert len(rs.entries) == len(want)
     for e in rs.entries:
-        if e.multiplicity == 3:
-            assert complex(e.value) == pytest.approx(1.0, abs=1e-8)
-        else:
-            assert e.multiplicity == 1
-            assert complex(e.value) == pytest.approx(-2.0, abs=1e-8)
-        assert not e.exact
+        root = min(want, key=lambda w: abs(w - e.value))
+        assert abs(e.value - root) <= 1e-15 * abs(root)
+        assert (e.multiplicity, e.exact) == (want.pop(root), False)
+
+
+def test_seventh_power_of_an_irrational_quadratic():
+    # (r^2 - 2)^7 has degree 14, above the numeric cap, but its one
+    # square-free factor has degree 2
+    p = _int_poly(*[[-2, 0, 1]] * 7)
+    rs = find_roots(CharPoly(tuple(Fraction(c) for c in p)))
+    assert [e.multiplicity for e in rs.entries] == [7, 7]
+    assert [e.value for e in rs.entries] == pytest.approx([2 ** 0.5, -(2 ** 0.5)],
+                                                          rel=1e-15)
+
+
+def _is_square(n):
+    return n >= 0 and math.isqrt(n) ** 2 == n
+
+
+def _irreducible_quadratic(b, c):
+    return [c, b, 1] if c and not _is_square(abs(b * b - 4 * c)) else None
+
+
+def _irreducible_cubic(a, b, c):
+    # monic with c != 0: a rational root is an integer divisor of c
+    divisors = [d for d in range(1, abs(c) + 1) if c % d == 0]
+    if any(x ** 3 + a * x * x + b * x + c == 0 for d in divisors for x in (d, -d)):
+        return None
+    return [c, b, a, 1]
+
+
+_irrational_factors = st.one_of(
+    st.builds(_irreducible_quadratic, st.integers(-3, 3), st.integers(-4, 4)),
+    st.builds(_irreducible_cubic, st.integers(-2, 2), st.integers(-3, 3),
+              st.sampled_from([-3, -2, -1, 1, 2, 3])),
+).filter(lambda f: f is not None)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_irrational_factors, st.integers(1, 3)), min_size=1,
+                max_size=3, unique_by=lambda fm: tuple(fm[0])),
+       st.lists(st.tuples(st.sampled_from([Fraction(k, 2) for k in range(-6, 7)]),
+                          st.integers(1, 3)), max_size=3, unique_by=lambda rm: rm[0]))
+def test_planted_irrational_factors_keep_their_multiplicities(factors, rationals):
+    # prod f_i^m_i * prod (r - x_j)^k_j, the f_i shaped like the benchmark's
+    # irrational factors: every multiplicity comes from exact algebra
+    p = [Fraction(c) for c in _int_poly(*[f for f, m in factors for _ in range(m)])]
+    for x, k in rationals:
+        for _ in range(k):
+            p = [a - x * b for a, b in zip([Fraction(0)] + p, p + [Fraction(0)])]
+    rs = find_roots(CharPoly(tuple(p)))
+    assert {e.value: e.multiplicity for e in rs.entries if e.exact} == \
+        {GR(x): k for x, k in rationals}
+    found = [0] * len(factors)
+    for e in rs.entries:
+        if e.exact:
+            continue
+        i, res = min(((i, abs(CharPoly(f).eval(e.value)) / max(map(abs, f)))
+                      for i, (f, _) in enumerate(factors)), key=lambda ir: ir[1])
+        assert res <= 1e-12
+        assert e.multiplicity == factors[i][1]
+        found[i] += 1
+    assert found == [len(f) - 1 for f, _ in factors]
 
 
 def test_planted_double_plus_imaginary_pair():
@@ -295,6 +364,18 @@ def _plant_separated_roots(rng: random.Random, deg: int, min_sep: float = 0.1):
         if ok:
             roots.extend(cand)
     return roots[:deg]
+
+
+def _int_poly(*factors):
+    """Ascending integer coefficients of the product of the factors."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
 
 
 def _expand_float(roots):
