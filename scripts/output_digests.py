@@ -10,7 +10,13 @@ input order.  A digest covers the rendered solution, the plain stage trace
 and ``repr`` of the root entries, or the error type and message when the
 solve raises.  ``bench/golden.json`` pins only the exact outputs; comparing
 this tool's output on two trees shows whether any output, float or exact,
-changed.  Nothing is written under ``bench/``.
+changed.  ``scripts/output_digests.sha256`` pins the sha256 of this output:
+
+    python3 scripts/output_digests.py > output_digests.json
+    sha256sum -c scripts/output_digests.sha256
+
+A change that alters an output on purpose records the new line.  Nothing is
+written under ``bench/``.
 """
 
 from __future__ import annotations

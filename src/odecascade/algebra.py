@@ -36,7 +36,15 @@ Expressions are kept in a canonical form: terms sorted by
 (Re lam, Im lam, tpow, logpow), one term per key, no zero coefficients.  Two
 expressions represent the same function iff they are structurally equal
 (exact backend) or their difference passes the relative zero test
-(approximate backend).
+(approximate backend).  Kernels whose keys cannot merge or reorder build
+that form directly: negation keeps every key; on exact data
+:func:`solve_stage` sorts each rate group's keys (groups come in order),
+:func:`_apply_by_shift`, :func:`_real_part` and :func:`realify` emit in order
+and drop zeros, and parser leaves are single terms (:func:`_one_term`).  They
+build terms with the private ``tuple.__new__(Term, (coeff, tpow, logpow, lam))``,
+which takes only scalars already in the backend's type; public ``Term`` checks.
+:func:`_canonicalize` (merge, drop zeros, sort) runs everywhere else: sums,
+products, scaling, conjugation and the float backend.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ from .scalars import GaussianRational, as_scalar, conj as _conj_scalar, is_exact
 REL_EPS = 1e-12
 
 _UNIT = complex(1.0, 0.0)
+_new = tuple.__new__
 
 
 class Term(namedtuple("Term", "coeff tpow logpow exponent")):
@@ -120,7 +129,8 @@ def _snap_exponents(terms, eps):
 
 
 class Expr:
-    """Canonical finite sum of Terms.  The zero function is the empty sum."""
+    """Canonical finite sum of Terms.  The zero function is the empty sum.
+    ``Expr(terms, _canonical=True)`` trusts ``terms`` to be canonical already."""
 
     __slots__ = ("terms",)
 
@@ -187,7 +197,7 @@ class Expr:
         return NotImplemented
 
     def __neg__(self):
-        return Expr([Term(-t.coeff, t.tpow, t.logpow, t.exponent) for t in self.terms])
+        return Expr([_new(Term, (-t.coeff, *t[1:])) for t in self.terms], _canonical=True)
 
     def __mul__(self, other):
         if isinstance(other, Expr):
@@ -241,12 +251,10 @@ def _canonicalize(terms) -> tuple:
 
     merged: dict[tuple, object] = {}
     for t in terms:
-        if t.key in merged:
-            merged[t.key] = merged[t.key] + t.coeff
-        else:
-            merged[t.key] = t.coeff
+        key = t[1:]
+        merged[key] = merged[key] + t.coeff if key in merged else t.coeff
 
-    out = [Term(c, k[0], k[1], k[2]) for k, c in merged.items()]
+    out = [_new(Term, (c, *k)) for k, c in merged.items()]
     if exact:
         out = [t for t in out if t.coeff]
     else:
@@ -429,8 +437,11 @@ def solve_stage(r, e: Expr) -> Expr:
         merged: dict = {}
         for c, k, m in parts:
             merged[k, m] = merged[k, m] + c if (k, m) in merged else c
-        out.extend(Term(c if exact else _UNIT * c, k, m, rate)
-                   for (k, m), c in merged.items())
+        if exact:  # groups come in rate order: sort the keys of each, drop zeros
+            out.extend(_new(Term, (merged[km], *km, rate)) for km in sorted(merged)
+                       if merged[km])
+        else:
+            out.extend(Term(_UNIT * c, k, m, rate) for (k, m), c in merged.items())
 
     if offending:
         names = ", ".join(
@@ -439,7 +450,7 @@ def solve_stage(r, e: Expr) -> Expr:
         raise NotClosedForm(
             f"no closed-form antiderivative for: {names}", terms=offending
         )
-    return normalize(out)
+    return Expr(out, _canonical=True) if exact else normalize(out)
 
 
 def antiderivative(e: Expr) -> Expr:
@@ -490,7 +501,7 @@ def _apply_by_shift(coeffs, y: Expr) -> Expr:
                     sr, si = acc.get(key, (0, 0))
                     acc[key] = (sr + cr * a - ci * b, si + cr * b + ci * a)
         den = ad * ld_pow[n] * fd
-        out.extend(Term(_rational(a, b, den), k, m, lam)
+        out.extend(_new(Term, (_rational(a, b, den), k, m, lam))
                    for (k, m), (a, b) in sorted(acc.items()) if a or b)
     # y is canonical, so its rates come sorted and each key appears once
     return Expr(out, _canonical=True)
@@ -521,7 +532,7 @@ def _real_part(y: Expr) -> Expr:
         for t, (a, b) in zip(theirs, pairs[len(mine):]):
             sr, si = acc.get((t.tpow, t.logpow), (0, 0))
             acc[t.tpow, t.logpow] = (sr + a, si - b)
-        out.extend(Term(_rational(a, b, 2 * den), k, m, lam)
+        out.extend(_new(Term, (_rational(a, b, 2 * den), k, m, lam))
                    for (k, m), (a, b) in sorted(acc.items()) if a or b)
     return Expr(out, _canonical=True)
 
@@ -738,6 +749,8 @@ def realify(e: Expr) -> RealExpr:
             out.append(RealTerm(-2 * c.imag, t.tpow, t.logpow, lam.real, lam.imag, SIN))
         elif not lam.imag:
             out.append(RealTerm(c.real, t.tpow, t.logpow, lam.real))
+    if exact:  # (Re lam, Im lam, tpow, logpow) order is RealExpr order
+        return RealExpr([rt for rt in out if rt.coeff], _canonical=True)
     return RealExpr(out)
 
 
@@ -755,6 +768,11 @@ def expr(*terms) -> Expr:
 
 def const(c) -> Expr:
     return expr(term(c))
+
+
+def _one_term(coeff, tpow=0, logpow=0, exponent=GaussianRational(0)) -> Expr:
+    """One exact term as an Expr; ``coeff`` a nonzero GaussianRational."""
+    return Expr((_new(Term, (coeff, tpow, logpow, exponent)),), _canonical=True)
 
 
 def exponential(rate) -> Expr:

@@ -28,13 +28,10 @@ from .algebra import (
     RealExpr,
     RealTerm,
     Term,
-    const,
-    expr as make_expr,
-    exponential,
+    _one_term,
     multiply,
     normalize,
     scale,
-    term as make_term,
 )
 from .cascade import CascadeTrace
 from .errors import (
@@ -50,6 +47,11 @@ from .scalars import GaussianRational
 
 _FUNCTIONS = ("exp", "sin", "cos", "ln")
 _VARIABLES = ("t", "x")
+
+_ONE = GaussianRational(1)
+_I = GaussianRational(0, 1)
+_HALF = GaussianRational(Fraction(1, 2))
+_HALF_I = GaussianRational(0, Fraction(1, 2))
 
 #: Most terms an integer power of a sum may have (bounded before lowering it,
 #: see :func:`_power_terms_bound`).  Squaring cost grows with the square of
@@ -145,6 +147,8 @@ def _tokenize(text: str) -> list[_Token]:
 def _number(tok: _Token) -> Fraction:
     """The exact value of a NUM token."""
     try:
+        if tok.text.isascii() and tok.text.isdigit():
+            return Fraction(int(tok.text))
         return Fraction(tok.text)
     except ValueError as exc:  # a digit int() refuses ("²"), or past the str-to-int limit
         raise ParseError(f"cannot read number: {exc}", tok.span) from exc
@@ -321,13 +325,13 @@ def _linear_coefficient(arg_expr: Expr):
 def _lower(node, variables: set) -> Expr:
     """The Expr of a syntax tree; adds each variable it meets to ``variables``."""
     if isinstance(node, _Num):
-        return const(node.value)
+        return _one_term(GaussianRational(node.value)) if node.value else Expr.zero()
     if isinstance(node, _Name):
         if node.ident in _VARIABLES:
             variables.add(node.ident)
-            return make_expr(make_term(1, 1))
+            return _one_term(_ONE, 1)
         if node.ident == "i":
-            return const(GaussianRational(0, 1))
+            return _one_term(_I)
         raise UnsupportedFunction(f"unknown name {node.ident!r}", node.span)
     if isinstance(node, _Unary):
         inner = _lower(node.operand, variables)
@@ -355,13 +359,14 @@ def _lower(node, variables: set) -> Expr:
         n = _int_const(node.power, variables)
         base = _lower(node.base, variables)
         if n < 0:
+            if base.is_zero:
+                raise ParseError("division by zero", node.base.span)
             t = _single_term(base)
             if t is None or t.logpow:
                 raise UnsupportedFunction(
                     "negative powers need a single log-free factor", node.span
                 )
-            inverse = make_expr(make_term(t.coeff ** -1, -t.tpow, 0, -t.exponent))
-            base, n = inverse, -n
+            base, n = _one_term(t.coeff ** -1, -t.tpow, 0, -t.exponent), -n
         return _power(base, n)
     if isinstance(node, _Call):
         return _lower_call(node, variables)
@@ -399,7 +404,10 @@ def _power(base: Expr, n: int) -> Expr:
         raise DegreeLimitExceeded(
             f"power ^{n} of a {len(base.terms)}-term expression may have {bound} "
             f"terms, more than the cap of {POWER_TERM_CAP}")
-    out, square = const(1), base
+    if len(base.terms) == 1:
+        c, k, m, lam = base.terms[0]
+        return _one_term(c ** n, n * k, n * m, n * lam)
+    out, square = _one_term(_ONE), base
     while n:  # square = base^(2^i) at bit i of the original n
         if n & 1:
             out = multiply(out, square)
@@ -442,30 +450,24 @@ def _lower_call(node: _Call, variables: set) -> Expr:
             raise UnsupportedFunction(
                 "exp argument must be linear in the variable (c*t)", node.arg.span
             )
-        return exponential(c)
+        return _one_term(_ONE, 0, 0, c)
     if node.func in ("sin", "cos"):
         b = _linear_coefficient(arg)
         if b is None or b.im:
             raise UnsupportedFunction(
                 f"{node.func} argument must be b*t with real b", node.arg.span
             )
-        i = GaussianRational(0, 1)
-        half = Fraction(1, 2)
-        plus = make_term(half, 0, 0, i * b)
-        minus_rate = -(i * b)
-        if node.func == "cos":
-            return make_expr(plus, make_term(half, 0, 0, minus_rate))
-        return make_expr(
-            make_term(-(i * half), 0, 0, i * b),
-            make_term(i * half, 0, 0, minus_rate),
-        )
+        # Euler: lo at rate -ib, hi at ib, which is canonical order for b > 0
+        lo, hi = (_HALF, _HALF) if node.func == "cos" else (_HALF_I, -_HALF_I)
+        terms = (Term(lo, 0, 0, -(_I * b)), Term(hi, 0, 0, _I * b))
+        return Expr(terms, _canonical=True) if b.re > 0 else normalize(terms)
     # ln
     t = _single_term(arg)
     if t is None or not (
         t.tpow == 1 and t.logpow == 0 and not t.exponent and t.coeff == 1
     ):
         raise UnsupportedFunction("ln argument must be the bare variable", node.arg.span)
-    return make_expr(make_term(1, 0, 1))
+    return _one_term(_ONE, 0, 1)
 
 
 def _parse_ast(tokens: list[_Token]):

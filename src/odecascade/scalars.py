@@ -26,10 +26,12 @@ class GaussianRational:
 
     Instances are treated as immutable; all arithmetic returns new objects.
     Operations with ``int`` and ``Fraction`` stay exact, operations with
-    ``float`` and ``complex`` return ``complex``.
+    ``float`` and ``complex`` return ``complex``.  The hash is computed on
+    the first call and kept on the object: hashing a ``Fraction`` takes a
+    modular inverse, and a rate is hashed again at every merge.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("re", "im", "_hash")
 
     def __init__(self, re=0, im=0):
         # A Fraction is immutable, so one is kept as it is, not rebuilt.
@@ -158,9 +160,11 @@ class GaussianRational:
     def __hash__(self):
         # Consistent with int/Fraction for purely real values; complex
         # floats and GaussianRationals must not share a dict.
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.re, self.im) if self.im else self.re)
+            return self._hash
 
     def __repr__(self):
         if not self.im:

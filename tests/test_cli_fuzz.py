@@ -155,6 +155,11 @@ def _case(name, args, code, message=None, seconds=None, **kw):
           "error: division by zero at 2..3"),
     _case("rhs-division-by-zero", ["solve", "y' + y = 1/0"], 2,
           "error: division by zero at 11..12"),
+    # a negative power of zero, at the base's span
+    _case("zero-to-negative-power", ["solve", "y' + y = 0^-1"], 2,
+          "error: division by zero at 9..10"),
+    _case("zero-sum-to-negative-power", ["solve", "y' + y = (t-t)^-2"], 2,
+          "error: division by zero at 10..13"),
     # a literal Python will not read
     _case("verify-5000-digits", ["verify", "y' + y = 1", _BIG_INT], 2,
           "error: cannot read number", marks=needs_digit_limit),
