@@ -36,8 +36,8 @@ Expressions are kept in a canonical form: terms sorted by
 (Re lam, Im lam, tpow, logpow), one term per key, no zero coefficients.  Two
 expressions represent the same function iff they are structurally equal
 (exact backend) or their difference passes the relative zero test
-(approximate backend).  Kernels whose keys cannot merge or reorder build
-that form directly: negation keeps every key; on exact data
+(approximate backend, :func:`_negligible`).  Kernels whose keys cannot merge
+or reorder build that form directly: negation keeps every key; on exact data
 :func:`solve_stage` sorts each rate group's keys (groups come in order),
 :func:`_apply_by_shift`, :func:`_real_part` and :func:`realify` emit in order
 and drop zeros, and parser leaves are single terms (:func:`_one_term`).  They
@@ -45,6 +45,13 @@ build terms with the private ``tuple.__new__(Term, (coeff, tpow, logpow, lam))``
 which takes only scalars already in the backend's type; public ``Term`` checks.
 :func:`_canonicalize` (merge, drop zeros, sort) runs everywhere else: sums,
 products, scaling, conjugation and the float backend.
+
+:class:`Expr` and the real-basis :class:`RealExpr` are one immutable
+container (:class:`_Sum`) over two bases; each brings only its
+canonicalizer, and both canonicalizers merge equal keys with one helper
+(:func:`_merge`).  Every sum holds one backend: all its terms are exact or
+all are float.  The canonicalizers convert a mixed input to float and the
+kernels that skip them emit one backend, so ``is_exact()`` reads one term.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .errors import DomainError, NotClosedForm, NotConjugateSymmetric, OverflowGuard
 from .scalars import GaussianRational, as_scalar, conj as _conj_scalar, is_exact
@@ -128,42 +135,49 @@ def _snap_exponents(terms, eps):
     return [Term(t.coeff, t.tpow, t.logpow, mapping[t.exponent]) for t in terms]
 
 
-class Expr:
-    """Canonical finite sum of Terms.  The zero function is the empty sum.
-    ``Expr(terms, _canonical=True)`` trusts ``terms`` to be canonical already."""
+def _merge(pairs, exact: bool) -> list:
+    """(key, coeff) pairs with the coefficients of equal keys summed, in
+    first-seen key order, without the zero sums: exact zeros, or float ones
+    within REL_EPS of the largest magnitude."""
+    merged: dict = {}
+    for key, c in pairs:
+        merged[key] = merged[key] + c if key in merged else c
+    if exact:
+        return [(k, c) for k, c in merged.items() if c]
+    floor = REL_EPS * max(map(abs, merged.values()), default=0.0)
+    return [(k, c) for k, c in merged.items() if abs(c) > floor]
+
+
+def _negligible(diff, refs) -> bool:
+    """The float zero test of a difference: every coefficient of ``diff`` is
+    at most REL_EPS times the scale, the largest coefficient of ``refs`` and
+    at least 1."""
+    scale_ref = max(max(ref.max_coeff_mag() for ref in refs), 1.0)
+    return all(abs(t.coeff) <= REL_EPS * scale_ref for t in diff.terms)
+
+
+class _Sum:
+    """Immutable canonical sum of terms; the zero function is the empty sum.
+    ``cls(terms, _canonical=True)`` trusts ``terms`` to be canonical already.
+    A subclass gives its canonicalizer ``_canon`` and term formatter ``_show``."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=(), *, _canonical=False):
-        if _canonical:
-            object.__setattr__(self, "terms", tuple(terms))
-        else:
-            object.__setattr__(self, "terms", _canonicalize(terms))
+        object.__setattr__(self, "terms", tuple(terms) if _canonical else self._canon(terms))
 
     def __setattr__(self, name, value):
-        raise AttributeError("Expr is immutable")
-
-    # -- basics ---------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "Expr":
-        return Expr((), _canonical=True)
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_exact(self) -> bool:
-        return all(t.is_exact() for t in self.terms)
-
-    def to_float(self) -> "Expr":
-        return normalize([_term_to_float(t) for t in self.terms])
-
-    def max_coeff_mag(self) -> float:
-        return max((abs(t.coeff) for t in self.terms), default=0.0)
+        return not self.terms or self.terms[0].is_exact()  # one backend per sum
 
     def __eq__(self, other):
-        if not isinstance(other, Expr):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return self.terms == other.terms
 
@@ -177,12 +191,49 @@ class Expr:
         return len(self.terms)
 
     def __repr__(self):
+        name = type(self).__name__
         if not self.terms:
-            return "Expr(0)"
-        bits = ", ".join(
-            f"({t.coeff})*t^{t.tpow}*ln^{t.logpow}*e^({t.exponent}t)" for t in self.terms
-        )
-        return f"Expr[{bits}]"
+            return f"{name}(0)"
+        return f"{name}[{', '.join(map(self._show, self.terms))}]"
+
+    def eval(self, t: float):
+        return evaluate(self, t)
+
+
+def _canonicalize(terms) -> tuple:
+    terms = [t if isinstance(t, Term) else Term(*t) for t in terms]
+    if not terms:
+        return ()
+    exact = all(t.is_exact() for t in terms)
+    if not exact:
+        terms = [_term_to_float(t) for t in terms]
+        terms = _snap_exponents(terms, REL_EPS)
+    out = [_new(Term, (c, *k)) for k, c in _merge(((t[1:], t.coeff) for t in terms), exact)]
+    out.sort(key=_sort_key)
+    return tuple(out)
+
+
+class Expr(_Sum):
+    """Canonical finite sum of Terms."""
+
+    __slots__ = ()
+    _canon = staticmethod(_canonicalize)
+
+    @staticmethod
+    def _show(t):
+        return f"({t.coeff})*t^{t.tpow}*ln^{t.logpow}*e^({t.exponent}t)"
+
+    # -- basics ---------------------------------------------------------
+
+    @staticmethod
+    def zero() -> "Expr":
+        return Expr((), _canonical=True)
+
+    def to_float(self) -> "Expr":
+        return normalize([_term_to_float(t) for t in self.terms])
+
+    def max_coeff_mag(self) -> float:
+        return max((abs(t.coeff) for t in self.terms), default=0.0)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -221,9 +272,6 @@ class Expr:
              for t in self.terms]
         )
 
-    def eval(self, t: float):
-        return evaluate(self, t)
-
     def realify(self) -> "RealExpr":
         return realify(self)
 
@@ -235,33 +283,7 @@ class Expr:
         """
         if self.is_exact() and other.is_exact():
             return self == other
-        diff = self.to_float() - other.to_float()
-        scale_ref = max(self.max_coeff_mag(), other.max_coeff_mag(), 1.0)
-        return all(abs(t.coeff) <= REL_EPS * scale_ref for t in diff.terms)
-
-
-def _canonicalize(terms) -> tuple:
-    terms = [t if isinstance(t, Term) else Term(*t) for t in terms]
-    if not terms:
-        return ()
-    exact = all(t.is_exact() for t in terms)
-    if not exact:
-        terms = [_term_to_float(t) for t in terms]
-        terms = _snap_exponents(terms, REL_EPS)
-
-    merged: dict[tuple, object] = {}
-    for t in terms:
-        key = t[1:]
-        merged[key] = merged[key] + t.coeff if key in merged else t.coeff
-
-    out = [_new(Term, (c, *k)) for k, c in merged.items()]
-    if exact:
-        out = [t for t in out if t.coeff]
-    else:
-        scale_ = max((abs(t.coeff) for t in out), default=0.0)
-        out = [t for t in out if abs(t.coeff) > REL_EPS * scale_]
-    out.sort(key=_sort_key)
-    return tuple(out)
+        return _negligible(self.to_float() - other.to_float(), (self, other))
 
 
 # ---------------------------------------------------------------------------
@@ -594,53 +616,34 @@ class RealTerm(namedtuple("RealTerm", "coeff tpow logpow alpha beta kind")):
     def key(self):
         return (self.alpha, self.beta, self.tpow, self.logpow, self.kind)
 
+    def is_exact(self) -> bool:
+        return all(isinstance(v, (int, Fraction)) for v in (self.coeff, self.alpha, self.beta))
 
-class RealExpr:
+
+def _canonicalize_real(terms) -> tuple:
+    # sin(0*t) is the zero function, so beta = 0 sine terms drop out
+    terms = [t for t in terms if not (t.kind == SIN and not t.beta)]
+    if not terms:
+        return ()
+    exact = all(t.is_exact() for t in terms)
+    if not exact:
+        terms = [
+            RealTerm(float(t.coeff), t.tpow, t.logpow, float(t.alpha), float(t.beta), t.kind)
+            for t in terms
+        ]
+    merged = sorted(_merge(((t.key, t.coeff) for t in terms), exact), key=itemgetter(0))
+    return tuple(RealTerm(c, k[2], k[3], k[0], k[1], k[4]) for k, c in merged)
+
+
+class RealExpr(_Sum):
     """Canonical sum of real-basis terms, produced by :func:`realify`."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _canon = staticmethod(_canonicalize_real)
 
-    def __init__(self, terms=(), *, _canonical=False):
-        if _canonical:
-            object.__setattr__(self, "terms", tuple(terms))
-        else:
-            object.__setattr__(self, "terms", _canonicalize_real(terms))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RealExpr is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_exact(self) -> bool:
-        return all(isinstance(t.coeff, (int, Fraction)) for t in self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, RealExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms)
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __repr__(self):
-        if not self.terms:
-            return "RealExpr(0)"
-        bits = ", ".join(
-            f"({t.coeff})*t^{t.tpow}*ln^{t.logpow}*e^({t.alpha}t)*{t.kind}({t.beta}t)"
-            for t in self.terms
-        )
-        return f"RealExpr[{bits}]"
-
-    def eval(self, t: float) -> float:
-        return evaluate(self, t)
+    @staticmethod
+    def _show(t):
+        return f"({t.coeff})*t^{t.tpow}*ln^{t.logpow}*e^({t.alpha}t)*{t.kind}({t.beta}t)"
 
     def to_expr(self) -> Expr:
         """Embed back into the complex-exponential algebra."""
@@ -664,35 +667,6 @@ class RealExpr:
                 out.append(Term(c * half * (-i), rt.tpow, rt.logpow, lam_p))
                 out.append(Term(c * half * i, rt.tpow, rt.logpow, lam_m))
         return normalize(out)
-
-
-def _canonicalize_real(terms) -> tuple:
-    # sin(0*t) is the zero function, so beta = 0 sine terms drop out
-    terms = [t for t in terms if not (t.kind == SIN and not t.beta)]
-    if not terms:
-        return ()
-    exact = all(
-        isinstance(t.coeff, (int, Fraction))
-        and isinstance(t.alpha, (int, Fraction))
-        and isinstance(t.beta, (int, Fraction))
-        for t in terms
-    )
-    if not exact:
-        terms = [
-            RealTerm(float(t.coeff), t.tpow, t.logpow, float(t.alpha), float(t.beta), t.kind)
-            for t in terms
-        ]
-    merged: dict[tuple, object] = {}
-    for t in terms:
-        merged[t.key] = merged.get(t.key, 0) + t.coeff
-    out = [RealTerm(c, k[2], k[3], k[0], k[1], k[4]) for k, c in merged.items()]
-    if exact:
-        out = [t for t in out if t.coeff]
-    else:
-        scale_ = max((abs(t.coeff) for t in out), default=0.0)
-        out = [t for t in out if abs(t.coeff) > REL_EPS * scale_]
-    out.sort(key=lambda t: (t.alpha, t.beta, t.tpow, t.logpow, t.kind))
-    return tuple(out)
 
 
 def _evaluate_real(e: RealExpr, t: float) -> float:

@@ -22,6 +22,13 @@ exact answer is symmetrized in one pass, each key (tpow, logpow, lam)
 paired with (tpow, logpow, conj(lam)) and summed on Gaussian-integer
 numerators (:func:`odecascade.algebra._real_part`); a float answer keeps
 the scaled sum of the answer and its conjugate.
+
+A problem is real when both halves are: the multiset of stage roots equals
+its conjugate, compared exactly on either backend (:func:`find_roots`
+returns float pairs conjugate bit for bit), and the first stage input
+q/a_n is conjugate-symmetric, which :func:`~odecascade.algebra.realify`
+decides.  Testing q/a_n rather than q is what makes a complex leading
+coefficient give a complex answer.
 """
 
 from __future__ import annotations
@@ -66,21 +73,6 @@ def solve_first_order(r, g: Expr) -> Expr:
     return solve_stage(r, g)
 
 
-def _roots_conjugate_closed(seq) -> bool:
-    if all(isinstance(r, GaussianRational) for r in seq):
-        return Counter(seq) == Counter(_conj(r) for r in seq)
-    values = [complex(r) for r in seq]
-    tol = 1e-9 * (1.0 + max((abs(v) for v in values), default=0.0))
-    unmatched = list(values)
-    for v in values:
-        target = v.conjugate()
-        best = min(unmatched, key=lambda u: abs(u - target), default=None)
-        if best is None or abs(best - target) > tol:
-            return False
-        unmatched.remove(best)
-    return True
-
-
 def cascade(roots_seq, q: Expr, a_n=1) -> CascadeTrace:
     """Run every stage across the given root sequence.
 
@@ -89,8 +81,8 @@ def cascade(roots_seq, q: Expr, a_n=1) -> CascadeTrace:
     annotated with the failing stage, when an integrand leaves the algebra.
     """
     a_n = as_scalar(a_n)
-    g = scale(GaussianRational(1) / a_n if is_exact(a_n) and q.is_exact()
-              else 1.0 / complex(a_n), q)
+    g = first = scale(GaussianRational(1) / a_n if is_exact(a_n) and q.is_exact()
+                      else 1.0 / complex(a_n), q)
     stages = []
     for idx, r in enumerate(roots_seq, start=1):
         try:
@@ -102,16 +94,17 @@ def cascade(roots_seq, q: Expr, a_n=1) -> CascadeTrace:
         stages.append(CascadeStage(as_scalar(r), g, phi))
         g = phi
 
-    y_p = g
-    y_real = None
-    if _roots_conjugate_closed([st.root for st in stages]) and q.conjugate().approx_equal(q):
-        # Real problem: drop the skew part, which is a homogeneous solution,
-        # so the result is a real function.
-        y_p = _real_part(y_p) if y_p.is_exact() else scale(0.5, y_p + y_p.conjugate())
+    y_p, y_real = g, None
+    roots = [st.root for st in stages]
+    if Counter(roots) == Counter(map(_conj, roots)):
         try:
+            realify(first)  # raises unless q/a_n is a real function
+            # Real problem: drop the skew part, which is a homogeneous
+            # solution, so the result is a real function.
+            y_p = _real_part(g) if g.is_exact() else scale(0.5, g + g.conjugate())
             y_real = realify(y_p)
         except NotConjugateSymmetric:
-            y_real = None
+            pass
     return CascadeTrace(tuple(stages), a_n, y_p, y_real)
 
 

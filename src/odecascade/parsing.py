@@ -145,13 +145,25 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 def _number(tok: _Token) -> Fraction:
-    """The exact value of a NUM token."""
-    try:
-        if tok.text.isascii() and tok.text.isdigit():
-            return Fraction(int(tok.text))
-        return Fraction(tok.text)
+    """The exact value of a NUM token.
+
+    Its size is bounded from the text before it is read: a literal of more
+    than :data:`COEFF_BITS_CAP` bits, counted as (mantissa digits +
+    |exponent|) * log2(10), raises :class:`DegreeLimitExceeded`, since
+    ``Fraction("1e10000000")`` alone takes seconds.
+    """
+    text = tok.text
+    mantissa, _, exponent = text.lower().partition("e")
+    try:  # an exponent int() refuses ("²") is left for Fraction to name
+        exp = int(exponent) if exponent.lstrip("+-").isdecimal() else 0
+        bits = (len(mantissa) - ("." in mantissa) + abs(exp)) * math.log2(10)
+        if bits <= COEFF_BITS_CAP:
+            return Fraction(int(text)) if text.isascii() and text.isdigit() else Fraction(text)
     except ValueError as exc:  # a digit int() refuses ("²"), or past the str-to-int limit
         raise ParseError(f"cannot read number: {exc}", tok.span) from exc
+    raise DegreeLimitExceeded(
+        f"the number at {tok.start}..{tok.end} may have {bits:.0f} bits, "
+        f"more than the cap of {COEFF_BITS_CAP}")
 
 
 # ---------------------------------------------------------------------------

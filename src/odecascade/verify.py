@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import REL_EPS, Expr, Term, _apply_by_shift, differentiate, normalize, scale
+from .algebra import Expr, Term, _apply_by_shift, _negligible, differentiate, normalize, scale
 from .errors import LogForcingUnsupported
 from .model import LinearODE
 from .roots import CharPoly, characteristic
@@ -59,14 +59,13 @@ def apply_operator(ode: LinearODE, y: Expr) -> Expr:
 
 
 def _zero_verdict(diff: Expr, exact: bool, refs: tuple) -> tuple[bool, str]:
-    """Exact differences must vanish; float ones within REL_EPS of the largest
-    coefficient of ``refs``.  The float scale is computed on the float
-    branch only, so an exact path never converts a coefficient to float
-    (10^400 would overflow)."""
+    """Exact differences must vanish; float ones pass the algebra's float
+    zero test (:func:`~odecascade.algebra._negligible`), scaled by ``refs``.
+    The float scale is computed on the float branch only, so an exact path
+    never converts a coefficient to float (10^400 would overflow)."""
     if exact and diff.is_exact():
         return (diff.is_zero, STATUS_EXACT_ZERO if diff.is_zero else STATUS_NONZERO)
-    scale_ref = max(max(ref.max_coeff_mag() for ref in refs), 1.0)
-    ok = all(abs(t.coeff) <= REL_EPS * scale_ref for t in diff.terms)
+    ok = _negligible(diff, refs)
     return (ok, STATUS_ZERO_TOL if ok else STATUS_NONZERO)
 
 

@@ -7,6 +7,9 @@ merge-and-sort of :func:`normalize`.  Each test
 checks that an output equals ``normalize`` of its own terms, and that it
 equals what the general route gives, so a kernel that emits the right
 terms in the wrong order, a zero or a duplicate key fails here.
+
+Every sum also holds one backend, all exact or all float, which is what
+lets ``is_exact()`` read one term; the last property checks it.
 """
 
 from fractions import Fraction
@@ -17,10 +20,12 @@ from hypothesis import strategies as st
 from odecascade import (
     Expr,
     GaussianRational as GR,
+    NotClosedForm,
     RealExpr,
     Term,
     antiderivative,
     differentiate,
+    multiply,
     normalize,
     parse_forcing,
     realify,
@@ -33,6 +38,7 @@ from support import (
     exponent_pool,
     exprs_strategy,
     small_fractions,
+    terms_strategy,
 )
 
 _CANON = settings(derandomize=True, max_examples=100, deadline=None)
@@ -102,6 +108,29 @@ def test_realify(e):
         r = realify(sym)
         assert r == RealExpr(list(r.terms))
         assert r.to_expr() == sym
+
+
+_float_terms = st.builds(lambda t: Term(complex(t.coeff), t.tpow, t.logpow,
+                                         complex(t.exponent)), terms_strategy)
+_mixed_exprs = st.lists(st.one_of(terms_strategy, _float_terms), max_size=6).map(normalize)
+
+
+@_CANON
+@given(_mixed_exprs, _mixed_exprs, st.sampled_from([2, Fraction(1, 3), GR(1, -1), 0.5, 1j]))
+def test_every_sum_holds_one_backend(a, b, c):
+    outs = [a, b, a + b, multiply(a, b), scale(c, a), differentiate(a), a.conjugate(),
+            a.to_float(), -b]
+    for e in (a, b):
+        try:
+            outs.append(antiderivative(e))
+        except NotClosedForm:  # a log or 1/t at a nonzero rate
+            pass
+    for e in list(outs):
+        real = realify(e + e.conjugate())
+        outs += [real, real.to_expr()]
+    for e in outs:
+        assert len({t.is_exact() for t in e}) <= 1, e
+        assert e.is_exact() == all(t.is_exact() for t in e)
 
 
 _HALF_I = GR(0, Fraction(1, 2))

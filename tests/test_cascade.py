@@ -177,6 +177,19 @@ def test_cascade_resonant_complex_pair_is_still_real():
     assert equal_mod_homogeneous(ode, trace.y_p, expected)
 
 
+def test_cascade_realness_is_decided_on_the_stage_input():
+    # i (D + 1) y = 1: q is real but q/a_n = -i is not, so y_p keeps its
+    # complex form, and it solves the equation
+    trace = cascade((GR(-1),), parse_forcing("1"), a_n=GR(0, 1))
+    assert trace.y_p == E(term(GR(0, -1)))
+    assert trace.y_p_real is None
+    assert scale(GR(0, 1), differentiate(trace.y_p) + trace.y_p) == parse_forcing("1")
+    # (D - i) y = 1: the roots are not closed under conjugation
+    trace = cascade((GR(0, 1),), parse_forcing("1"))
+    assert trace.y_p == E(term(GR(0, 1)))
+    assert trace.y_p_real is None
+
+
 # ---------------------------------------------------------------------------
 # particular_solution
 # ---------------------------------------------------------------------------

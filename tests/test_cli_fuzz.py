@@ -16,9 +16,13 @@ import re
 import sys
 import time
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from odecascade import DegreeLimitExceeded, Term, normalize, parse_forcing
 
 from support import forcing_texts, ode_texts, run_cli
 
@@ -213,6 +217,15 @@ def _case(name, args, code, message=None, seconds=None, **kw):
           "error: power ^20000 has degree 20000 in t and ln(t)", seconds=1.0),
     _case("log-power-cap-nonzero-rate", ["solve", "y' + y = ln(t)^20000"], 1,
           "error: power ^20000 has degree 20000 in t and ln(t)", seconds=1.0),
+    # literals refused from their text: 1e3000000 had not exited after 60 s,
+    # and 1e10000000 alone takes 12 s to read
+    _case("literal-bits-cap-lhs", ["solve", "y' + 1e3000000y = 1"], 1,
+          "error: the number at 5..14 may have 9965788 bits, more than the cap of 65536",
+          seconds=1.0),
+    _case("literal-bits-cap-rhs", ["solve", "y' + y = 1e10000000"], 1,
+          "error: the number at 9..19 may have 33219284 bits", seconds=1.0),
+    _case("varcoef-literal-bits-cap", ["varcoef", "1.0", "1", "1e10000000"], 1,
+          "error: the number at 0..10 may have 33219284 bits", seconds=1.0),
 ])
 def test_cli_regression(args, code, message, seconds):
     start = time.perf_counter()
@@ -226,3 +239,11 @@ def test_cli_regression(args, code, message, seconds):
     assert result.stdout == ""
     assert result.stderr.startswith(message)
     assert len(result.stderr.splitlines()) == 1
+
+
+def test_literal_at_the_bits_cap_parses():
+    # (1 + 19727) * log2(10) = 65535.7 bits, inside the cap of 65536
+    assert parse_forcing("1e19727") == normalize([Term(10 ** 19727)])
+    assert parse_forcing("1e-19727") == normalize([Term(Fraction(1, 10 ** 19727))])
+    with pytest.raises(DegreeLimitExceeded):
+        parse_forcing("1e19728")

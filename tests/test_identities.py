@@ -11,7 +11,11 @@ leans on the solver's own residual check:
 - superposition: the answer for q1 + q2 is the sum of the answers;
 - exponential shift: if y solves p(D) y = q, then e^(ct) y solves
   p(D - c) u = e^(ct) q, and it is what the cascade gives for the shifted
-  roots.
+  roots;
+- method against method: y_p equals the undetermined-coefficients oracle's
+  answer modulo homogeneous solutions;
+- realness: every drawn problem is real, so the cascade returns a real form
+  that embeds back to y_p.
 """
 
 from fractions import Fraction
@@ -28,6 +32,7 @@ from odecascade import (
     equal_mod_homogeneous,
     find_roots,
     normalize,
+    oracle_undetermined_coefficients,
     residual_symbolic,
 )
 
@@ -133,3 +138,20 @@ def test_exponential_shift(problem, c):
     shifted = LinearODE(_shift_poly(ode.coeffs, c), _times_exp(ode.forcing, c), ode.var)
     assert residual_symbolic(shifted, u).status == "exact-zero"
     assert _y_p([r + c for r in seq], shifted) == u
+
+
+@_IDENTITY
+@given(_problems())
+def test_cascade_agrees_with_the_oracle(problem):
+    ode, seq = problem
+    oracle = oracle_undetermined_coefficients(ode, ode.forcing)
+    assert equal_mod_homogeneous(ode, _y_p(seq, ode), oracle)
+
+
+@_IDENTITY
+@given(_problems())
+def test_real_problems_get_a_real_form(problem):
+    ode, seq = problem
+    trace = cascade(seq, ode.forcing, ode.coeffs[-1])
+    assert trace.y_p_real is not None
+    assert trace.y_p_real.to_expr() == trace.y_p
