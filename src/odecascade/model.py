@@ -43,7 +43,8 @@ class LinearODE(namedtuple("LinearODE", "coeffs forcing var")):
         return all(isinstance(c, Fraction) for c in self.coeffs) and self.forcing.is_exact()
 
     def to_float(self) -> "LinearODE":
-        """The same equation in floats; OverflowGuard for a value with no double."""
+        """The same equation in floats; OverflowGuard for a value with no
+        double, or a nonzero one that rounds to 0.0."""
         try:
             coeffs = tuple(float(c) for c in self.coeffs)
             forcing = self.forcing.to_float()
@@ -51,4 +52,10 @@ class LinearODE(namedtuple("LinearODE", "coeffs forcing var")):
             raise OverflowGuard(f"a coefficient is beyond double range: {exc}") from exc
         if not coeffs[-1]:
             raise OverflowGuard("the leading coefficient underflows to zero as a float")
+        # a forcing term lost to underflow shortens the sum, so only a shorter
+        # one is searched
+        if any(c and not f for c, f in zip(self.coeffs, coeffs)) or (
+                len(forcing) < len(self.forcing)
+                and any(t.coeff and not complex(t.coeff) for t in self.forcing.terms)):
+            raise OverflowGuard("a nonzero coefficient underflows to zero as a float")
         return LinearODE(coeffs, forcing, self.var)

@@ -1,19 +1,19 @@
 """Characteristic polynomial construction and root finding.
 
-The exact path finds every Gaussian-rational root in one route on integer
-coefficients: it clears denominators, takes the square-free part
-p / gcd(p, p') by a primitive pseudo-remainder sequence (Yun, SYMSAC '76),
-and gets candidates from it in closed form up to degree 2, else by rounding
-Aberth approximations z to round(L*z)/L, L its leading coefficient (Gauss's
-lemma in Z[i]).  Each candidate counts only if its integer factor divides p
-exactly, as many times as it divides.  Float coefficients take the same
-route, since a float is exactly a dyadic rational.
+One exact route takes every coefficient, a float too, since a float is
+exactly a dyadic rational.  It clears denominators and splits the primitive
+integer polynomial once into coprime square-free factors with their
+multiplicities, by Musser's gcd loop on the heuristic gcd GCDHEU (Char,
+Geddes & Gonnet, J. Symbolic Comput. 1989), so exact algebra, not a radius,
+sets every multiplicity.  Each factor gives candidates in closed form up to
+degree 2, else by rounding Aberth approximations z to round(L*z)/L, L its
+leading coefficient (Gauss's lemma in Z[i]).  A candidate counts only if
+its integer factor divides the factor exactly, and takes the factor's
+multiplicity.
 
-What is left splits into coprime square-free factors with their
-multiplicities by Musser's gcd loop, so exact algebra, not a radius, sets
-every multiplicity.  Each factor goes to a simultaneous Aberth-Ehrlich
-iteration with a few Newton steps, capped at degree 12, and each of its
-roots takes the factor's multiplicity.
+What a factor keeps goes, as the correctly rounded floats of its monic
+ratios, to a simultaneous Aberth-Ehrlich iteration with a few Newton steps,
+capped at degree 12, and each of its roots takes the factor's multiplicity.
 """
 
 from __future__ import annotations
@@ -37,12 +37,10 @@ ORDER_CAP = 64
 #: A numeric root r is accepted when |p(r)| <= RESIDUAL_TOL * max|coeff|.
 RESIDUAL_TOL = 1e-10
 
-#: The exact route splits p square-free only while deg(p)^2 times the bits of
-#: its largest integer coefficient is at most this: the integer gcd grows with
-#: about its square (0.6 s at order 64 with 64 bits, 20 s at order 32 with
-#: 2,658 bits).  Above it candidates come from p itself, not its split, and
-#: what the exact route leaves goes to the numeric path as one factor.
-SPLIT_WORK_CAP = 2 ** 18
+#: find_roots refuses p, before any gcd, when its degree times the bits of
+#: its largest integer coefficient (denominators cleared) passes this: the
+#: square-free split's gcds grow with about that product squared.
+SPLIT_BITS_CAP = 2 ** 18
 
 #: Most Aberth sweeps the numeric root finder runs before its residual check.
 _MAX_SWEEPS = 200
@@ -125,25 +123,34 @@ def find_roots(p: CharPoly) -> RootSet:
     """All complex roots of p with multiplicities, exact where possible.
 
     Every coefficient, a float too, takes the exact route as the rational it
-    holds.  What it leaves (roots that are not Gaussian rationals) is split
-    into square-free factors, and each goes to the numeric path.  Above
-    degree ORDER_CAP it refuses before any work.
+    holds: p splits once into coprime square-free integer factors, each root
+    takes its factor's multiplicity, and what a factor keeps after its
+    Gaussian-rational roots are divided out goes to the numeric path.  Above
+    degree ORDER_CAP, or past SPLIT_BITS_CAP, it refuses before any work.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree at least 1")
     if p.degree > ORDER_CAP:
         raise DegreeLimitExceeded(
             f"root finding is limited to degree {ORDER_CAP}, got {p.degree}")
-    entries, leftover = _exact_roots([Fraction(c) for c in p.coeffs])
-    if len(leftover) > 1:
-        for factor, mult in _square_free_factors(leftover):
-            try:
-                remaining = CharPoly(tuple(float(c) for c in factor))
-            except (OverflowError, ValueError) as exc:  # ValueError: lead underflows
-                raise OverflowGuard(
-                    f"a characteristic coefficient has no double value: {exc}"
-                ) from exc
-            entries.extend(_numeric_roots(remaining, mult))
+    ints = _primitive([Fraction(c) for c in p.coeffs])
+    bits = max(abs(c).bit_length() for c in ints)
+    if p.degree * bits > SPLIT_BITS_CAP:
+        raise DegreeLimitExceeded(
+            f"root finding is limited to {SPLIT_BITS_CAP} for the degree times the bits "
+            f"of the largest integer coefficient, got {p.degree} * {bits}")
+    entries: list[RootEntry] = []
+    for factor, mult in _square_free_factors(ints):
+        for re, im in _candidates(factor):
+            quot = _divide(factor, _primitive([re * re + im * im, -2 * re, 1] if im
+                                              else [-re, 1]))
+            if quot is not None:
+                factor = quot
+                entries.append(RootEntry(GaussianRational(re, im), mult, True))
+                if im:
+                    entries.append(RootEntry(GaussianRational(re, -im), mult, True))
+        if len(factor) > 1:
+            entries.extend(_numeric_roots(_monic_floats(factor), mult))
     return RootSet(tuple(entries))
 
 
@@ -151,39 +158,12 @@ def find_roots(p: CharPoly) -> RootSet:
 # exact path: integer polynomials, ascending coefficients
 # ---------------------------------------------------------------------------
 
-def _exact_roots(coeffs):
-    """Every Gaussian-rational root of a rational polynomial, with its
-    multiplicity.
-
-    Candidates come from the square-free part and each is checked by exact
-    division of its integer factor, so a missed candidate leaves a root
-    unfound but never gives a wrong one.  Returns (entries, leftover):
-    coeffs divided by the found roots' factors, with coeffs' leading
-    coefficient.
-    """
-    p = square_free = _primitive(coeffs)
-    if _splits(p):
-        square_free = _divide(p, _gcd(p, _primitive(_poly_derivative(p))))
-    entries: list[RootEntry] = []
-    for re, im in _candidates(square_free):
-        factor = _primitive([re * re + im * im, -2 * re, 1] if im else [-re, 1])
-        mult = 0
-        while (quot := _divide(p, factor)) is not None:
-            p, mult = quot, mult + 1
-        if mult:
-            entries.append(RootEntry(GaussianRational(re, im), mult, True))
-            if im:
-                entries.append(RootEntry(GaussianRational(re, -im), mult, True))
-    scale = Fraction(coeffs[-1]) / p[-1]
-    return entries, [c * scale for c in p]
-
-
 def _candidates(s: list[int]) -> list:
-    """Candidate roots (re, im), im >= 0, of the integer polynomial s,
-    square-free unless the split was skipped: closed forms up to degree 2,
-    else Aberth approximations z rounded to round(L*z)/L, L = lead(s).
-    L*rho is a Gaussian integer for every Gaussian-rational root rho
-    (Gauss's lemma in Z[i]), so a close enough z rounds to rho exactly."""
+    """Candidate roots (re, im), im >= 0, of the square-free integer
+    polynomial s: closed forms up to degree 2, else Aberth approximations z
+    rounded to round(L*z)/L, L = lead(s).  L*rho is a Gaussian integer for
+    every Gaussian-rational root rho (Gauss's lemma in Z[i]), so a close
+    enough z rounds to rho exactly."""
     lead = s[-1]
     if len(s) == 2:
         return [(Fraction(-s[0], lead), Fraction(0))]
@@ -209,15 +189,11 @@ def _candidates(s: list[int]) -> list:
     return out
 
 
-def _square_free_factors(leftover) -> list:
+def _square_free_factors(p: list[int]) -> list:
     """(factor, multiplicity) pairs, the factors coprime and square-free with
-    a product equal to the rational polynomial ``leftover`` up to a constant,
-    by Musser's gcd loop on integers.  A square-free leftover, or one past
-    SPLIT_WORK_CAP, is its own only factor, of multiplicity 1."""
-    p = _primitive(leftover)
-    rest = _gcd(p, _primitive(_poly_derivative(p))) if _splits(p) else [1]
-    if len(rest) == 1:  # else rest = prod a_i^(i-1) for p = prod a_i^i
-        return [(leftover, 1)]
+    a product equal to the primitive integer polynomial p up to sign, by
+    Musser's gcd loop."""
+    rest = _gcd(p, _primitive(_poly_derivative(p)))  # prod a_i^(i-1) for p = prod a_i^i
     distinct, out, mult = _divide(p, rest), [], 1  # distinct = prod a_i over i >= mult
     while len(rest) > 1:
         repeated = _gcd(distinct, rest)
@@ -225,11 +201,6 @@ def _square_free_factors(leftover) -> list:
             out.append((simple, mult))
         distinct, rest, mult = repeated, _divide(rest, repeated), mult + 1
     return [*out, (distinct, mult)]
-
-
-def _splits(p: list[int]) -> bool:
-    """Whether the integer polynomial p is within SPLIT_WORK_CAP."""
-    return (len(p) - 1) ** 2 * max(abs(c).bit_length() for c in p) <= SPLIT_WORK_CAP
 
 
 def _primitive(coeffs) -> list[int]:
@@ -240,29 +211,31 @@ def _primitive(coeffs) -> list[int]:
     return [v // g for v in ints]
 
 
-def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
-    """Remainder of lead(b)^k * a divided by b, in integers (empty for 0)."""
-    r, lead, n = list(a), b[-1], len(b) - 1
-    while len(r) > n:
-        top = r.pop()
-        shift = len(r) - n
-        r = [lead * c for c in r]
-        for k in range(n):
-            r[shift + k] -= top * b[k]
-        while r and not r[-1]:
-            r.pop()
-    return r
-
-
 def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """gcd of two primitive integer polynomials, up to sign, by a primitive
-    pseudo-remainder sequence."""
-    while len(b) > 1:
-        r = _pseudo_remainder(a, b)
-        if not r:
-            return b
-        a, b = b, _primitive(r)
-    return [1]
+    """gcd of two primitive integer polynomials, up to sign, by the heuristic
+    gcd (Char, Geddes & Gonnet, J. Symbolic Comput. 1989): the symmetric
+    xi-adic digits of gcd(a(xi), b(xi)) for xi >= 2 min(|a|, |b|) + 2 give
+    the gcd when their primitive part divides both, else xi grows.  A wrong
+    gcd is never returned.  The spurious integer factor divides the
+    resultant of the cofactors, so past 2^limit (limit from the Mignotte and
+    Hadamard bounds) the digits are the gcd, and the loop ends there."""
+    n = len(a) + len(b) - 2
+    bits = max(abs(c).bit_length() for c in (*a, *b))
+    limit = (n + 1) * (n + bits + 1)
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    while True:
+        h, digits = math.gcd(CharPoly(a).eval(xi), CharPoly(b).eval(xi)), []
+        while h:
+            digit = h % xi
+            digit -= xi if 2 * digit > xi else 0
+            digits.append(digit)
+            h = (h - digit) // xi
+        g = _primitive(digits)
+        if _divide(a, g) is not None and _divide(b, g) is not None:
+            return g
+        if xi.bit_length() > limit:
+            raise NonConvergence(f"the heuristic gcd passed its bound of 2^{limit}")
+        xi = xi * math.isqrt(math.isqrt(xi)) * 73794 // 27011
 
 
 def _divide(a: list[int], d: list[int]):
@@ -335,28 +308,41 @@ def _aberth(monic: list[complex]):
     return roots, sweeps_used
 
 
-def _numeric_roots(p: CharPoly, multiplicity: int) -> list[RootEntry]:
-    """Approximate roots of a square-free real p, each of the given
-    multiplicity, every one checked by the residual bound."""
-    if p.degree > NUMERIC_DEGREE_CAP:
+def _monic_floats(s: list[int]) -> list[complex]:
+    """The correctly rounded ratios c_k / lead of the integer polynomial s;
+    OverflowGuard when a ratio overflows or a nonzero one rounds to 0.0."""
+    try:
+        monic = [complex(c / s[-1]) for c in s]
+    except OverflowError as exc:
+        raise OverflowGuard(
+            f"a characteristic coefficient has no double value: {exc}") from exc
+    if any(c and not m for c, m in zip(s, monic)):
+        raise OverflowGuard(
+            "a characteristic coefficient has no double value: a ratio underflows to 0.0")
+    return monic
+
+
+def _numeric_roots(monic: list[complex], multiplicity: int) -> list[RootEntry]:
+    """Approximate roots of a square-free real monic polynomial, each of the
+    given multiplicity, every one checked by the residual bound."""
+    degree = len(monic) - 1
+    if degree > NUMERIC_DEGREE_CAP:
         raise DegreeLimitExceeded(
             f"numeric root finding is limited to degree {NUMERIC_DEGREE_CAP}, "
-            f"got {p.degree}"
+            f"got {degree}"
         )
-    coeffs = [complex(c) for c in p.coeffs]
-    monic = [c / coeffs[-1] for c in coeffs]
     try:
         roots, sweeps_used = _aberth(monic)
-    except OverflowError as exc:  # a coefficient ratio or an iterate past double range
+    except OverflowError as exc:  # an iterate past double range
         raise OverflowGuard(f"numeric root finding left double range: {exc}") from exc
     roots = _polish(monic, roots)
     roots = _symmetrize(roots, REAL_AXIS_RADIUS * (1.0 + max(abs(z) for z in roots)))
 
     # residual acceptance: |p(r)| <= tol * max|coeff|
-    coeff_scale = max(abs(c) for c in coeffs)
+    coeff_scale = max(abs(c) for c in monic)
     residuals = []
     for z in roots:
-        res = abs(p.eval(z))
+        res = abs(_horner_pair(monic, z)[0])
         residuals.append(res)
         if res > RESIDUAL_TOL * coeff_scale:
             raise NonConvergence(

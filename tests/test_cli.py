@@ -173,8 +173,8 @@ def test_dense_order_64_ends_quickly():
 
 
 def test_dense_huge_coefficients_end_quickly():
-    # order 32 with 2,658-bit integer coefficients: splitting it square-free
-    # would take about 20 s, so the route works on p itself
+    # order 32 with 2,658-bit integer coefficients, under the root route's
+    # bits cap: the split runs, and what it leaves has no double ratios
     sizes = itertools.cycle(["1e400", "3", "1e-400", "7/5"])
     lhs = " + ".join(f"{next(sizes)}y^({k})" for k in range(32, -1, -1))
     result = _timed_cli(["solve", f"{lhs} = 1"])

@@ -137,6 +137,11 @@ needs_digit_limit = pytest.mark.skipif(
     reason="this Python has no int-to-str digit limit")
 
 
+#: order 64 with 4,319-bit coefficients at the odd orders
+_DENSE_PAST_CAP = " + ".join(f"1e1300y^({k})" if k % 2 else f"{k + 1}y^({k})"
+                             for k in range(64, -1, -1)) + " = 1"
+
+
 def _case(name, args, code, message=None, seconds=None, **kw):
     return pytest.param(args, code, message, seconds, id=name, **kw)
 
@@ -191,6 +196,19 @@ def _case(name, args, code, message=None, seconds=None, **kw):
           "error: the leading coefficient underflows to zero as a float"),
     _case("float-roots-overflow", ["solve", "y + 1e400y''' = 0"], 1,
           "error: a characteristic coefficient has no double value"),
+    # values that round to 0.0: the forcing became the empty sum (exit 4, or
+    # y_p = 0 under --float), and a tiny ratio gave three real roots to a
+    # polynomial with a complex pair
+    _case("float-forcing-underflow", ["solve", "y'' + y' - y = 1e-330*t"], 1,
+          "error: a nonzero coefficient underflows to zero as a float", seconds=1.0),
+    _case("float-forcing-underflow-flag", ["solve", "--float", "y' + y = 1e-330"], 1,
+          "error: a nonzero coefficient underflows to zero as a float", seconds=1.0),
+    _case("float-coefficient-underflow", ["solve", "--float", "y'' + 1e-330y' + y = 1"], 1,
+          "error: a nonzero coefficient underflows to zero as a float", seconds=1.0),
+    _case("roots-ratio-underflow", ["roots", "y''' + 1e-400y = 0"], 1,
+          "error: a characteristic coefficient has no double value", seconds=1.0),
+    _case("roots-ratio-overflow", ["roots", "y + 1e400y''' = 0"], 1,
+          "error: a characteristic coefficient has no double value", seconds=1.0),
     # a coefficient ratio that overflows the numeric root iteration
     _case("numeric-roots-overflow", ["roots", "y^(12) + 1e30y = 0"], 1,
           "error: numeric root finding left double range"),
@@ -226,6 +244,15 @@ def _case(name, args, code, message=None, seconds=None, **kw):
           "error: the number at 9..19 may have 33219284 bits", seconds=1.0),
     _case("varcoef-literal-bits-cap", ["varcoef", "1.0", "1", "1e10000000"], 1,
           "error: the number at 0..10 may have 33219284 bits", seconds=1.0),
+    # just past the root route's cap of 2^18 on degree times coefficient
+    # bits; at degree 64 with 65,536-bit coefficients the split takes 88 s
+    _case("root-bits-cap-order-64", ["roots", "y^(64) + 1e1300y = 0"], 1,
+          "error: root finding is limited to 262144 for the degree times the bits of "
+          "the largest integer coefficient, got 64 * 4319", seconds=1.0),
+    _case("root-bits-cap-dense", ["solve", _DENSE_PAST_CAP], 1,
+          "error: root finding is limited to 262144", seconds=1.0),
+    _case("root-bits-cap-order-3", ["solve", "1e19727y''' + y' + 1e-19727y = 1"], 1,
+          "error: root finding is limited to 262144", seconds=1.0),
 ])
 def test_cli_regression(args, code, message, seconds):
     start = time.perf_counter()
@@ -247,3 +274,28 @@ def test_literal_at_the_bits_cap_parses():
     assert parse_forcing("1e-19727") == normalize([Term(Fraction(1, 10 ** 19727))])
     with pytest.raises(DegreeLimitExceeded):
         parse_forcing("1e19728")
+
+
+def _expanded(roots, rhs):
+    """``p(D) y = rhs`` for p = prod (r - root), written out term by term."""
+    p = [1]
+    for root in roots:
+        p = [a - root * b for a, b in zip([0] + p, p + [0])]
+    terms = [f"{'-' if c < 0 else '+'} {abs(c)}{f'y^({k})' if k else 'y'}"
+             for k, c in reversed(list(enumerate(p))) if c]
+    return " ".join(terms)[2:] + f" = {rhs}"
+
+
+def test_expanded_repeated_roots_come_out_exact():
+    # (D - 1)^32 (D + 3)^32 written out: past the old split work cap the
+    # repeated roots reached Aberth as clusters, and both commands exited 1
+    ode = _expanded([1] * 32 + [-3] * 32, 1)
+    start = time.perf_counter()
+    roots = _assert_clean(["roots", ode])
+    solved = _assert_clean(["solve", ode])
+    assert time.perf_counter() - start < 2.0
+    assert roots.exit_code == solved.exit_code == 0
+    assert [line.split() for line in roots.stdout.splitlines()[-2:]] == \
+        [["1", "32", "True"], ["-3", "32", "True"]]
+    assert "roots:          1 (mult 32, exact), -3 (mult 32, exact)" in solved.stdout
+    assert "residual:       exact-zero" in solved.stdout

@@ -328,12 +328,138 @@ def test_exact_route_rejects_irrational_repeated_pair():
     assert rs.degree == 4
 
 
-def test_exact_route_leftover_keeps_the_leading_coefficient():
-    # 2(r - 1)(r^2 - 2): the numeric path gets 2r^2 - 4, as before
-    entries, leftover = roots._exact_roots(
-        (Fraction(4), Fraction(-4), Fraction(-2), Fraction(2)))
-    assert entries == [RootEntry(GR(1), 1, True)]
-    assert leftover == [Fraction(-4), Fraction(0), Fraction(2)]
+def test_numeric_leftover_gets_the_exact_monic_ratios():
+    # 2(r - 1)(r^2 - 2): the exact 1 is divided out, and Aberth gets
+    # r^2 - 2, so the +-sqrt(2) floats keep their bits
+    rs = find_roots(CharPoly((Fraction(4), Fraction(-4), Fraction(-2), Fraction(2))))
+    assert [(e.multiplicity, e.exact) for e in rs.entries] == [(1, False), (1, True),
+                                                              (1, False)]
+    assert rs.entries[1].value == GR(1)
+    assert [e.value for e in rs.entries[::2]] == [
+        complex(float.fromhex("0x1.6a09e667f3bccp+0"), 0.0),
+        complex(float.fromhex("-0x1.6a09e667f3bcdp+0"), 0.0)]
+
+
+@st.composite
+def _planted_up_to_degree_64(draw):
+    """{root: multiplicity} of total degree 1-64: parts p/q with |p/q| <= 3
+    and q <= 3, multiplicities 1-3, about 40% of draws a conjugate pair."""
+    parts = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3)).filter(
+        lambda x: abs(x) <= 3)
+    target, planted, degree = draw(st.integers(1, 64)), {}, 0
+    for _ in range(200):
+        mult, x = draw(st.integers(1, 3)), draw(parts)
+        y = abs(draw(parts)) if draw(st.integers(0, 4)) < 2 else 0
+        values = [GR(x, y), GR(x, -y)] if y else [GR(x)]
+        if degree + mult * len(values) <= target and values[0] not in planted:
+            planted.update(dict.fromkeys(values, mult))
+            degree += mult * len(values)
+        if degree == target:
+            break
+    return planted
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_planted_up_to_degree_64())
+def test_exact_route_finds_planted_roots_up_to_degree_64(planted):
+    # one square-free split of every polynomial: clustered repeated roots
+    # never reach Aberth, so each multiset comes out all exact
+    p = _exact_poly(planted)
+    start = time.perf_counter()
+    rs = find_roots(p)
+    assert time.perf_counter() - start < 1.0
+    assert rs.all_exact()
+    assert {e.value: e.multiplicity for e in rs.entries} == planted
+
+
+def test_find_roots_splits_once(monkeypatch):
+    # (r - 1)^2 (r^2 - 2)^3 (r^2 + 1): one Musser pass, none on a leftover
+    calls = []
+    split = roots._square_free_factors
+    monkeypatch.setattr(roots, "_square_free_factors",
+                        lambda p: calls.append(p) or split(p))
+    p = _int_poly([-1, 1], [-1, 1], *[[-2, 0, 1]] * 3, [1, 0, 1])
+    rs = find_roots(CharPoly(tuple(Fraction(c) for c in p)))
+    assert len(calls) == 1
+    assert sorted((e.multiplicity, e.exact) for e in rs.entries) == \
+        [(1, True), (1, True), (2, True), (3, False), (3, False)]
+
+
+def test_root_bits_cap_refuses_before_any_gcd(monkeypatch):
+    # degree 64 with a 4,319-bit coefficient: 64 * 4319 > 2^18
+    monkeypatch.setattr(roots, "_gcd", None)
+    start = time.perf_counter()
+    with pytest.raises(DegreeLimitExceeded, match="got 64 \\* 4319"):
+        find_roots(CharPoly((Fraction(10 ** 1300),) + (Fraction(0),) * 63 + (Fraction(1),)))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("shape", ["dense order 2", "square of order 32"])
+def test_polynomials_at_the_bits_cap_end_quickly(shape):
+    # degree times the bits of the largest coefficient just under 2^18
+    rng = random.Random(18)
+    if shape == "dense order 2":
+        p = [rng.getrandbits(131072) for _ in range(2)] + [1 << 131071]
+    else:
+        f = [rng.getrandbits(2040) - (1 << 2039) for _ in range(32)] + [1 << 2039]
+        p = _int_poly(f, f)
+    assert (len(p) - 1) * max(abs(c).bit_length() for c in p) <= roots.SPLIT_BITS_CAP
+    start = time.perf_counter()
+    try:
+        rs = find_roots(CharPoly(tuple(Fraction(c) for c in p)))
+        assert rs.degree == len(p) - 1
+    except DegreeLimitExceeded as exc:  # a leftover above the numeric cap
+        assert "numeric root finding" in str(exc)
+    assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the heuristic gcd
+# ---------------------------------------------------------------------------
+
+def _fraction_gcd(a, b):
+    """Monic gcd of two integer polynomials by Euclid's algorithm over Q."""
+    a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    while b:
+        while len(a) >= len(b):
+            q, shift = a[-1] / b[-1], len(a) - len(b)
+            a = [c - (q * b[k - shift] if k >= shift else 0) for k, c in enumerate(a)][:-1]
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return [c / a[-1] for c in a]
+
+
+_int_polys = st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(lambda p: p[-1])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_int_polys, _int_polys, _int_polys, st.integers(1, 3))
+def test_heuristic_gcd_agrees_with_euclid(shared, f, g, power):
+    # a = shared^power * f and b = shared * g share at least shared
+    a = roots._primitive(_int_poly(*[shared] * power, f))
+    b = roots._primitive(_int_poly(shared, g))
+    got = roots._gcd(a, b)
+    assert [Fraction(c, got[-1]) for c in got] == _fraction_gcd(a, b)
+
+
+def test_heuristic_gcd_retries_past_a_spurious_first_digit_read(monkeypatch):
+    # a = r + 1, b = 3r^2 + r + 3: at xi = 4, gcd(5, 55) = 5 reads as r + 1,
+    # which does not divide b, so xi grows and the gcd comes out 1
+    tried = []
+    divide = roots._divide
+    monkeypatch.setattr(roots, "_divide", lambda a, d: tried.append(d) or divide(a, d))
+    assert roots._gcd([1, 1], [3, 1, 3]) == [1]
+    assert tried[:2] == [[1, 1], [1, 1]] and tried[-1] == [1]
+
+
+def test_heuristic_gcd_is_bounded_when_division_is_broken(monkeypatch):
+    # a _divide that never divides: the retry loop stops at its bound
+    monkeypatch.setattr(roots, "_divide", lambda a, d: None)
+    start = time.perf_counter()
+    with pytest.raises(NonConvergence, match="heuristic gcd"):
+        roots._gcd([2, -3, 0, 1], [-3, 0, 3])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_square_free_split_helpers():
