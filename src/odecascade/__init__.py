@@ -28,7 +28,8 @@ from .algebra import (
     scale,
     term,
 )
-from .cascade import CascadeStage, CascadeTrace, cascade, particular_solution, solve_first_order
+from .solver import (CascadeStage, CascadeTrace, SolvePlan, cascade, particular_solution, plan,
+                     solve_first_order)
 from .errors import (
     DegreeLimitExceeded,
     DomainError,
@@ -83,8 +84,8 @@ __all__ = [
     "realexpr_to_json_terms", "realexpr_from_json_terms",
     "CharPoly", "RootEntry", "RootSet", "characteristic", "find_roots",
     "expand_from_roots",
-    "CascadeStage", "CascadeTrace", "cascade", "particular_solution",
-    "solve_first_order",
+    "CascadeStage", "CascadeTrace", "SolvePlan", "cascade", "particular_solution",
+    "plan", "solve_first_order",
     "PowerCoefODE", "NumericSolution", "recognize_factorable",
     "solve_varcoef", "residual_varcoef",
     "Residual", "apply_operator", "residual_symbolic",

@@ -13,15 +13,13 @@ a nonzero residual of a ``verify`` candidate; 0 is success; a usage error
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
 
 from . import __version__
 from .algebra import Expr, RealTerm, evaluate
-from .cascade import particular_solution
-from .errors import NonConvergence, NotClosedForm, OdeCascadeError, ParseError, VerificationFailed
+from .errors import NotClosedForm, OdeCascadeError, ParseError, VerificationFailed
 from .parsing import (
     _digit_limit,
     _real_part_json,
@@ -36,6 +34,7 @@ from .parsing import (
 )
 from .roots import characteristic, find_roots
 from .scalars import GaussianRational
+from .solver import particular_solution, plan
 from .varcoef import PowerCoefODE, linspace, solve_varcoef
 from .verify import (
     STATUS_EXACT_ZERO,
@@ -112,18 +111,18 @@ def solve(ode_text, as_json, as_latex, show_steps, force_exact, force_float):
     if force_exact and force_float:
         _fail("--exact and --float are mutually exclusive")
     ode = parse_ode(ode_text)
-    if force_float:
-        ode = ode._replace(forcing=ode.to_float().forcing)
     t0 = time.perf_counter()
-    if force_exact and not find_roots(characteristic(ode)).all_exact():
-        raise NonConvergence("roots are not expressible as Gaussian rationals", ())
-    _, trace = particular_solution(ode)
+    solve_plan = plan(ode, "exact" if force_exact else "float" if force_float else None)
+    _, trace = particular_solution(solve_plan)
     elapsed = time.perf_counter() - t0
+    if force_float:  # the report shows the forcing the cascade solved
+        ode = ode._replace(forcing=solve_plan.ode.forcing)
 
     # The whole report is built before any of it is printed, so a result
     # too large to print gives one error line and no partial report.
     with _digit_limit():
         if as_json:
+            import json
             report = json.dumps({
                 "ode": {
                     "coeffs": [_real_part_json(c) for c in ode.coeffs],
@@ -149,6 +148,7 @@ def roots(ode_text, as_json):
     rootset = find_roots(characteristic(ode))
     with _digit_limit():
         if as_json:
+            import json
             report = json.dumps(_roots_json(rootset))
         else:
             report = "\n".join([
@@ -167,6 +167,7 @@ def verify(ode_text, candidate_text, as_json):
     residual = residual_symbolic(ode, candidate)
     with _digit_limit():
         if as_json:
+            import json
             report = json.dumps({
                 "residual": _STATUS_JSON[residual.status],
                 "residual_terms": expr_to_json_terms(residual.expr),

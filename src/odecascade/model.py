@@ -43,8 +43,12 @@ class LinearODE(namedtuple("LinearODE", "coeffs forcing var")):
         return all(isinstance(c, Fraction) for c in self.coeffs) and self.forcing.is_exact()
 
     def to_float(self) -> "LinearODE":
-        """The same equation in floats; OverflowGuard for a value with no
-        double, or a nonzero one that rounds to 0.0."""
+        """The same equation in floats (an all-float one unchanged);
+        OverflowGuard for a value with no double, or a nonzero one that
+        rounds to 0.0."""
+        if all(isinstance(c, float) for c in self.coeffs) and not (
+                self.forcing and self.forcing.is_exact()):
+            return self
         try:
             coeffs = tuple(float(c) for c in self.coeffs)
             forcing = self.forcing.to_float()

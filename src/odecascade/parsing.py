@@ -16,7 +16,6 @@ between a literal and a power of the variable ("5t", "2t^3").
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 from contextlib import contextmanager
@@ -33,7 +32,7 @@ from .algebra import (
     normalize,
     scale,
 )
-from .cascade import CascadeTrace
+from .solver import CascadeTrace
 from .errors import (
     DegreeLimitExceeded,
     NotLinearConstantCoefficient,
@@ -963,6 +962,7 @@ def render(obj, style: str = "plain", var: str = "t") -> str:
         if isinstance(obj, CascadeTrace):
             return _render_trace(obj, style, var)
         if style == "json":
+            import json
             if isinstance(obj, Expr):
                 return json.dumps(expr_to_json_terms(obj))
             return json.dumps(realexpr_to_json_terms(obj))
@@ -1001,6 +1001,7 @@ def trace_to_json(trace) -> list:
 
 def _render_trace(trace, style: str, var: str) -> str:
     if style == "json":
+        import json
         return json.dumps(trace_to_json(trace))
     lines = []
     for idx, st in enumerate(trace.stages, start=1):

@@ -128,6 +128,8 @@ class GaussianRational:
             return NotImplemented
         if n < 0:
             return GaussianRational(1) / self ** (-n)
+        if not self.im:
+            return GaussianRational(self.re ** n)
         result = GaussianRational(1)
         base = self
         while n:

@@ -1,5 +1,9 @@
 """The cascaded first-order solver.
 
+The backend is chosen in one place, :func:`plan`: it finds the roots once
+and takes the exact route when every root is a Gaussian rational and the
+forcing is exact, else the float route, converting the equation once.
+
 Factoring the operator p(D) into first-order factors (D - r_i I) reduces the
 equation to one first-order linear solve per characteristic root.  Each stage
 applies the integrating-factor formula
@@ -36,7 +40,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 
 from .algebra import Expr, _real_part, realify, scale, solve_stage
-from .errors import NotClosedForm, NotConjugateSymmetric, VerificationFailed
+from .errors import NonConvergence, NotClosedForm, NotConjugateSymmetric, VerificationFailed
 from .model import LinearODE
 from .roots import characteristic, find_roots
 from .scalars import GaussianRational, as_scalar, conj as _conj, is_exact
@@ -61,8 +65,8 @@ class CascadeTrace(namedtuple("CascadeTrace",
     when the problem is real.  ``roots`` (the characteristic
     :class:`~odecascade.roots.RootSet`) and ``residual`` (the
     :class:`~odecascade.verify.Residual` of ``y_p``) are filled in by
-    :func:`particular_solution`; they are None on a trace from
-    :func:`cascade` alone.
+    :func:`particular_solution` (``roots`` is its plan's); they are None on
+    a trace from :func:`cascade` alone.
     """
 
     __slots__ = ()
@@ -108,30 +112,53 @@ def cascade(roots_seq, q: Expr, a_n=1) -> CascadeTrace:
     return CascadeTrace(tuple(stages), a_n, y_p, y_real)
 
 
-def particular_solution(ode: LinearODE):
-    """End-to-end pipeline: characteristic -> roots -> cascade -> realify.
+class SolvePlan(namedtuple("SolvePlan", "ode roots seq")):
+    """One solve's route: the equation the stages and the residual check run
+    on (the input, or its float conversion), the characteristic
+    :class:`~odecascade.roots.RootSet` and the stage roots in that backend."""
 
+    __slots__ = ()
+
+
+def plan(ode: LinearODE, backend=None) -> SolvePlan:
+    """Find the roots and choose the backend, each once: exact when every
+    root is a Gaussian rational and the forcing is exact, else float.
+
+    ``backend="exact"`` (``solve --exact``) refuses a root that is not a
+    Gaussian rational with :class:`NonConvergence` before converting
+    anything; ``"float"`` (``solve --float``) takes the float route,
+    converting before the roots are found from the exact coefficients.
+    """
+    if backend not in (None, "exact", "float"):
+        raise ValueError(f"backend must be None, 'exact' or 'float', not {backend!r}")
+    float_ode = ode.to_float() if backend == "float" else None
+    rootset = find_roots(characteristic(ode))
+    if backend == "exact" and not rootset.all_exact():
+        raise NonConvergence("roots are not expressible as Gaussian rationals", ())
+    if float_ode is None:
+        if rootset.all_exact() and ode.forcing.is_exact():
+            return SolvePlan(ode, rootset, rootset.expand())
+        float_ode = ode.to_float()
+    return SolvePlan(float_ode, rootset, tuple(complex(r) for r in rootset.expand()))
+
+
+def particular_solution(ode):
+    """End-to-end pipeline: plan -> cascade -> realify.
+
+    ``ode`` is a :class:`LinearODE` or a :class:`SolvePlan` made for one.
     Returns ``(solution, trace)`` where the solution is the real form when
     the problem admits one, otherwise the complex-exponential form; the
-    trace carries the roots and the residual computed on the way.  The
-    result is checked against the equation before returning; a nonzero
-    residual raises :class:`VerificationFailed` (internal bug guard).
+    trace carries the plan's roots and the residual computed on the way.
+    The result is checked against the plan's equation before returning; a
+    nonzero residual raises :class:`VerificationFailed` (internal bug guard).
     """
-    rootset = find_roots(characteristic(ode))
-    q = ode.forcing
-    a_n = ode.coeffs[-1]
-    if not rootset.all_exact() or not q.is_exact():
-        float_ode = ode.to_float()
-        q, a_n = float_ode.forcing, float_ode.coeffs[-1]
-        seq = tuple(complex(r) for r in rootset.expand())
-    else:
-        seq = rootset.expand()
-    trace = cascade(seq, q, a_n)
-    res = residual_symbolic(ode, trace.y_p)
+    p = ode if isinstance(ode, SolvePlan) else plan(ode)
+    trace = cascade(p.seq, p.ode.forcing, p.ode.coeffs[-1])
+    res = residual_symbolic(p.ode, trace.y_p)
     if not res.is_zero:
         raise VerificationFailed(
             f"cascade result failed the residual check: {res.expr!r}"
         )
-    trace = trace._replace(roots=rootset, residual=res)
+    trace = trace._replace(roots=p.roots, residual=res)
     solution = trace.y_p_real if trace.y_p_real is not None else trace.y_p
     return solution, trace

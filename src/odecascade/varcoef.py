@@ -172,18 +172,24 @@ def solve_varcoef(ode: PowerCoefODE, h: float, stage_tol: float = 1e-6,
     q = ode.forcing_callable()
     a, n = ode.a, ode.n
 
-    def rhs(x, phi, y):
-        axn = a * x ** n
-        return q(x) - axn * phi, phi + axn * y
+    def field(x):  # (a x^n, q(x)), evaluated once per point
+        return a * x ** n, q(x)
 
-    xs, phis, ys = [ode.x0], [0.0], [0.0]
+    def rhs(f, phi, y):
+        axn, qx = f
+        return qx - axn * phi, phi + axn * y
+
+    xs, phis, ys, qs = [ode.x0], [0.0], [0.0], []
     phi, y = 0.0, 0.0
     for i in range(steps):
         x = ode.x0 + i * h_eff
-        k1p, k1y = rhs(x, phi, y)
-        k2p, k2y = rhs(x + h_eff / 2, phi + h_eff / 2 * k1p, y + h_eff / 2 * k1y)
-        k3p, k3y = rhs(x + h_eff / 2, phi + h_eff / 2 * k2p, y + h_eff / 2 * k2y)
-        k4p, k4y = rhs(x + h_eff, phi + h_eff * k3p, y + h_eff * k3y)
+        f = field(x)
+        qs.append(f[1])
+        k1p, k1y = rhs(f, phi, y)
+        f = field(x + h_eff / 2)  # k2 and k3 share the midpoint
+        k2p, k2y = rhs(f, phi + h_eff / 2 * k1p, y + h_eff / 2 * k1y)
+        k3p, k3y = rhs(f, phi + h_eff / 2 * k2p, y + h_eff / 2 * k2y)
+        k4p, k4y = rhs(field(x + h_eff), phi + h_eff * k3p, y + h_eff * k3y)
         phi += h_eff / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
         y += h_eff / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
         xs.append(ode.x0 + (i + 1) * h_eff)
@@ -192,7 +198,10 @@ def solve_varcoef(ode: PowerCoefODE, h: float, stage_tol: float = 1e-6,
     if not (all(map(math.isfinite, phis)) and all(map(math.isfinite, ys))):
         raise OverflowGuard("solution is not finite on the grid")
 
-    residuals = _residual_arrays((xs, phis, ys, h_eff), ode)
+    # k1 took q at every node but the last (x0 + i*h_eff is xs[i] for i >= 1;
+    # the residuals at the first and last node are NaN whatever q is there)
+    qs.append(q(xs[-1]))
+    residuals = _residual_arrays((xs, phis, ys, h_eff), ode, qs)
     maxima = [_max_abs(r) for r in residuals]
     if max(maxima[:2]) > stage_tol:
         raise StepTooLarge(
@@ -306,13 +315,15 @@ def _unit_rule(panels: int):
     return nodes, [w / (2 * panels) for w in _GL_WEIGHTS] * panels
 
 
-def _residual_arrays(march, ode: PowerCoefODE):
+def _residual_arrays(march, ode: PowerCoefODE, qv=None):
     """Stage 1, stage 2 and factored-form residuals at the nodes of the march
-    (xs, phi, y, h, ..., as the first fields of a :class:`NumericSolution`)."""
+    (xs, phi, y, h, ..., as the first fields of a :class:`NumericSolution`);
+    ``qv``, the forcing at those nodes, is evaluated here when not given."""
     xs, phi, y, h = march[:4]
     a, n = ode.a, ode.n
-    q = ode.forcing_callable()
-    qv = [q(x) for x in xs]
+    if qv is None:
+        q = ode.forcing_callable()
+        qv = [q(x) for x in xs]
     # x * x is correctly rounded; the libm pow() behind x ** 2 now and then is not
     axn = [a * (x * x if n == 2 else x ** n) for x in xs]
     nan = math.nan

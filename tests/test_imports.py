@@ -47,7 +47,8 @@ def test_cli_import_loads_no_dataclasses_or_introspection():
     proc = _run("""
         import sys
         import odecascade.cli
-        print(sorted(m for m in ("dataclasses", "inspect", "ast", "dis") if m in sys.modules))
+        print(sorted(m for m in ("dataclasses", "inspect", "ast", "dis", "json")
+                     if m in sys.modules))
     """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

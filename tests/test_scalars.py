@@ -37,6 +37,21 @@ def test_powers():
     assert (GR(1, 1) ** 2) == GR(0, 2)
 
 
+@pytest.mark.parametrize("base", [Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(7, 10)])
+def test_real_powers_match_repeated_products(base):
+    for n in range(0, 12):
+        product = GR(1)
+        for _ in range(n):
+            product = product * GR(base)
+        assert GR(base) ** n == product
+        assert type((GR(base) ** n).re) is Fraction
+    if base:
+        assert GR(base) ** -3 == GR(1) / (GR(base) * GR(base) * GR(base))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            GR(base) ** -1
+
+
 def test_mixing_with_exact_types_stays_exact():
     a = GR(Fraction(1, 3))
     assert isinstance(a + 1, GR)

@@ -111,6 +111,22 @@ def test_grid_covers_domain_and_values_finite():
     assert math.isfinite(sol.max_stage1_residual)
 
 
+def test_march_evaluates_the_forcing_once_per_point():
+    # RK4's k2 and k3 share the midpoint, and the residuals reuse the
+    # march's node values: 3 per step plus the last node, none repeated
+    points = []
+
+    def forcing(x):
+        points.append(x)
+        return math.exp(x * x / 2)
+
+    sol = solve_varcoef(PowerCoefODE(1.0, 1, forcing, 0.0, 1.0), 1e-3, probe_points=0)
+    assert len(points) == 3 * 1000 + 1
+    assert points[-1] == sol.xs[-1]
+    assert residual_varcoef(sol, PowerCoefODE(1.0, 1, forcing, 0.0, 1.0)) == (
+        sol.max_stage1_residual, sol.max_stage2_residual, sol.max_fd_residual)
+
+
 def test_probe_cross_check_agrees():
     ode = PowerCoefODE(1.0, 1, lambda x: math.exp(x * x / 2), 0.0, 1.0)
     sol = solve_varcoef(ode, 1e-3, probe_points=5)
