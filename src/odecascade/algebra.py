@@ -49,9 +49,9 @@ products, scaling, conjugation and the float backend.
 :class:`Expr` and the real-basis :class:`RealExpr` are one immutable
 container (:class:`_Sum`) over two bases; each brings only its
 canonicalizer, and both canonicalizers merge equal keys with one helper
-(:func:`_merge`).  Every sum holds one backend: all its terms are exact or
-all are float.  The canonicalizers convert a mixed input to float and the
-kernels that skip them emit one backend, so ``is_exact()`` reads one term.
+(:func:`_merge`).  Every value holds one backend: a term built from an exact
+and a float field converts the exact one, and the canonicalizers raise
+``TypeError`` on a list that mixes backends, so ``is_exact()`` reads one field.
 """
 
 from __future__ import annotations
@@ -72,6 +72,7 @@ from .scalars import GaussianRational, as_scalar, conj as _conj_scalar, is_exact
 REL_EPS = 1e-12
 
 _UNIT = complex(1.0, 0.0)
+_EXACT_I_HALF = (GaussianRational(0, 1), GaussianRational(Fraction(1, 2)))
 _new = tuple.__new__
 
 
@@ -83,6 +84,8 @@ class Term(namedtuple("Term", "coeff tpow logpow exponent")):
     def __new__(cls, coeff, tpow=0, logpow=0, exponent=GaussianRational(0)):
         coeff = as_scalar(coeff)
         exponent = as_scalar(exponent)
+        if type(coeff) is not type(exponent):  # a mixed term is made float
+            coeff, exponent = complex(coeff), complex(exponent)
         if not isinstance(tpow, int) or not isinstance(logpow, int):
             raise TypeError("tpow and logpow must be integers")
         if logpow < 0:
@@ -94,11 +97,7 @@ class Term(namedtuple("Term", "coeff tpow logpow exponent")):
         return (self.tpow, self.logpow, self.exponent)
 
     def is_exact(self) -> bool:
-        return is_exact(self.coeff) and is_exact(self.exponent)
-
-
-def _term_to_float(t: Term) -> Term:
-    return Term(complex(t.coeff), t.tpow, t.logpow, complex(t.exponent))
+        return isinstance(self.coeff, GaussianRational)  # one backend per term
 
 
 def _sort_key(t: Term):
@@ -200,13 +199,20 @@ class _Sum:
         return evaluate(self, t)
 
 
+def _backend(terms) -> bool:
+    """Whether the terms are exact; ``TypeError`` if they mix backends."""
+    exact = terms[0].is_exact()
+    if any(t.is_exact() is not exact for t in terms):
+        raise TypeError("a sum cannot mix exact and float terms")
+    return exact
+
+
 def _canonicalize(terms) -> tuple:
     terms = [t if isinstance(t, Term) else Term(*t) for t in terms]
     if not terms:
         return ()
-    exact = all(t.is_exact() for t in terms)
+    exact = _backend(terms)
     if not exact:
-        terms = [_term_to_float(t) for t in terms]
         terms = _snap_exponents(terms, REL_EPS)
     out = [_new(Term, (c, *k)) for k, c in _merge(((t[1:], t.coeff) for t in terms), exact)]
     out.sort(key=_sort_key)
@@ -230,7 +236,10 @@ class Expr(_Sum):
         return Expr((), _canonical=True)
 
     def to_float(self) -> "Expr":
-        return normalize([_term_to_float(t) for t in self.terms])
+        if not self.is_exact():  # a float sum unchanged
+            return self
+        return normalize([Term(complex(t.coeff), t.tpow, t.logpow, complex(t.exponent))
+                          for t in self.terms])
 
     def max_coeff_mag(self) -> float:
         return max((abs(t.coeff) for t in self.terms), default=0.0)
@@ -415,28 +424,30 @@ def solve_stage(r, e: Expr) -> Expr:
     the exact backend and built by the integration-by-parts chain on floats
     (see the module docstring).  The exact back-substitution is an integer
     recurrence on the group's Gaussian-integer numerators, reduced once per
-    output coefficient.  On floats mu is snapped among the
-    shifted rates as :func:`normalize` does, so resonance is found within
-    tolerance, and each output term has rate mu + r.  ``r = 0`` is
-    :func:`antiderivative`.
+    output coefficient.  On floats mu is snapped among the shifted rates
+    (see the float branch).  ``r = 0`` is :func:`antiderivative`.  The
+    backend is that of ``e``: an ``r`` of the other one raises ``TypeError``.
 
     Raises :class:`NotClosedForm` when a term at mu != 0 has a log factor
     or a negative power of t, naming those terms at their shifted rate mu.
     """
-    r = as_scalar(r)
-    exact = is_exact(r) and e.is_exact()
+    exact = e.is_exact()
     by_rate = attrgetter("exponent")  # canonical terms are sorted by rate
     if exact:
+        r = as_scalar(r)
         groups = [(lam, lam - r, list(terms)) for lam, terms in groupby(e.terms, by_rate)]
     else:
         # The float steps are those of multiplying by e^(-rt), integrating
         # and multiplying by e^(rt): r snapped as a lone rate, mu snapped
         # among the shifted rates, coefficients times the factors' unit
         # coefficient 1+0j (which only settles the sign of a zero part).
-        r = _snap(complex(r), REL_EPS * max(1.0, abs(r)))
+        # An output's rate is mu + r, not its input rate lam: its float
+        # coefficients solve the stage for the rounded mu, and mu + r is the
+        # rate they are correct for.  The snaps find resonance (mu = 0) and
+        # merge rates that differ only by rounding, as normalize does.
+        r = _snap(_UNIT * r, REL_EPS * max(1.0, abs(r)))  # TypeError for an exact r
         shifted = _canonicalize([
-            Term(_UNIT * t.coeff, t.tpow, t.logpow, complex(t.exponent) - r)
-            for t in e.terms
+            Term(_UNIT * t.coeff, t.tpow, t.logpow, t.exponent - r) for t in e.terms
         ])
         groups = [(mu + r, mu, list(terms)) for mu, terms in groupby(shifted, by_rate)]
 
@@ -608,6 +619,8 @@ class RealTerm(namedtuple("RealTerm", "coeff tpow logpow alpha beta kind")):
     def __new__(cls, coeff, tpow=0, logpow=0, alpha=Fraction(0), beta=Fraction(0), kind=COS):
         if kind not in (COS, SIN):
             raise ValueError("kind must be 'cos' or 'sin'")
+        if not all(isinstance(v, (int, Fraction)) for v in (coeff, alpha, beta)):
+            coeff, alpha, beta = float(coeff), float(alpha), float(beta)  # one backend
         if isinstance(beta, (int, Fraction)) and beta < 0:
             raise ValueError("beta must be nonnegative")
         return super().__new__(cls, coeff, tpow, logpow, alpha, beta, kind)
@@ -617,7 +630,7 @@ class RealTerm(namedtuple("RealTerm", "coeff tpow logpow alpha beta kind")):
         return (self.alpha, self.beta, self.tpow, self.logpow, self.kind)
 
     def is_exact(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) for v in (self.coeff, self.alpha, self.beta))
+        return isinstance(self.coeff, (int, Fraction))  # one backend per term
 
 
 def _canonicalize_real(terms) -> tuple:
@@ -625,12 +638,7 @@ def _canonicalize_real(terms) -> tuple:
     terms = [t for t in terms if not (t.kind == SIN and not t.beta)]
     if not terms:
         return ()
-    exact = all(t.is_exact() for t in terms)
-    if not exact:
-        terms = [
-            RealTerm(float(t.coeff), t.tpow, t.logpow, float(t.alpha), float(t.beta), t.kind)
-            for t in terms
-        ]
+    exact = _backend(terms)
     merged = sorted(_merge(((t.key, t.coeff) for t in terms), exact), key=itemgetter(0))
     return tuple(RealTerm(c, k[2], k[3], k[0], k[1], k[4]) for k, c in merged)
 
@@ -654,10 +662,7 @@ class RealExpr(_Sum):
                 if rt.kind == COS:
                     out.append(Term(c, rt.tpow, rt.logpow, alpha))
                 continue
-            if is_exact(c):
-                i, half = GaussianRational(0, 1), GaussianRational(Fraction(1, 2))
-            else:
-                i, half = 1j, 0.5
+            i, half = _EXACT_I_HALF if is_exact(c) else (1j, 0.5)
             lam_p = alpha + i * beta
             lam_m = alpha - i * beta
             if rt.kind == COS:

@@ -245,8 +245,9 @@ def _parser() -> argparse.ArgumentParser:
             ("--steps", "show_steps", "include the stage trace"),
             ("--exact", "force_exact", "require exact (Gaussian-rational) arithmetic"),
             ("--float", "force_float",
-             "run the cascade and the residual check in floats; coefficients "
-             "and Gaussian-rational roots stay exact")):
+             "convert the equation to floats and run the cascade and the "
+             "residual check on it; the roots are found from the exact "
+             "coefficients")):
         sub.add_argument(flag, dest=dest, action="store_true", help=text)
     for sub in (command("roots", roots, "ode_text"),
                 command("verify", verify, "ode_text", "candidate_text")):

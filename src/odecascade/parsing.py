@@ -901,21 +901,16 @@ def expr_to_json_terms(e: Expr) -> list:
     return out
 
 
+def _scalar_from_json(obj, name: str):
+    re, im = _part_from_json(obj[f"{name}_re"]), _part_from_json(obj[f"{name}_im"])
+    return GaussianRational(re, im) if isinstance(re, Fraction) else complex(re, im)
+
+
 def expr_from_json_terms(terms: list) -> Expr:
-    out = []
-    for obj in terms:
-        cr = _part_from_json(obj["coeff_re"])
-        ci = _part_from_json(obj["coeff_im"])
-        er = _part_from_json(obj["exp_re"])
-        ei = _part_from_json(obj["exp_im"])
-        if isinstance(cr, Fraction) and isinstance(er, Fraction):
-            coeff = GaussianRational(cr, ci)
-            rate = GaussianRational(er, ei)
-        else:
-            coeff = complex(float(cr), float(ci))
-            rate = complex(float(er), float(ei))
-        out.append(Term(coeff, int(obj["tpow"]), int(obj["logpow"]), rate))
-    return normalize(out)
+    # a term with an exact and a float scalar is made float when it is built
+    return normalize([Term(_scalar_from_json(obj, "coeff"), int(obj["tpow"]),
+                           int(obj["logpow"]), _scalar_from_json(obj, "exp"))
+                      for obj in terms])
 
 
 def _real_part_json(v):

@@ -8,8 +8,8 @@ Two backends coexist:
   built from rational data stay bit-exact through the whole pipeline.
 * approximate: the built-in ``complex``.
 
-Mixing the two coerces to ``complex``, mirroring how ``Fraction`` interacts
-with ``float`` in the standard library.
+The two never mix: arithmetic between them raises ``TypeError``, so a value
+changes backend only by an explicit conversion and exact work never rounds.
 """
 
 from __future__ import annotations
@@ -18,15 +18,14 @@ import math
 from fractions import Fraction
 
 _EXACT_INPUTS = (int, Fraction)
-_FLOAT_INPUTS = (float, complex)
 
 
 class GaussianRational:
     """Complex number with Fraction real and imaginary parts.
 
     Instances are treated as immutable; all arithmetic returns new objects.
-    Operations with ``int`` and ``Fraction`` stay exact, operations with
-    ``float`` and ``complex`` return ``complex``.  The hash is computed on
+    Operations with ``int`` and ``Fraction`` stay exact; operations with
+    ``float`` and ``complex`` raise ``TypeError``.  The hash is computed on
     the first call and kept on the object: hashing a ``Fraction`` takes a
     modular inverse, and a rate is hashed again at every merge.
     """
@@ -69,8 +68,6 @@ class GaussianRational:
             return GaussianRational(self.re + other.re, self.im + other.im)
         if isinstance(other, _EXACT_INPUTS):
             return GaussianRational(self.re + other, self.im)
-        if isinstance(other, _FLOAT_INPUTS):
-            return complex(self) + other
         return NotImplemented
 
     __radd__ = __add__
@@ -80,8 +77,6 @@ class GaussianRational:
             return GaussianRational(self.re - other.re, self.im - other.im)
         if isinstance(other, _EXACT_INPUTS):
             return GaussianRational(self.re - other, self.im)
-        if isinstance(other, _FLOAT_INPUTS):
-            return complex(self) - other
         return NotImplemented
 
     def __rsub__(self, other):
@@ -95,8 +90,6 @@ class GaussianRational:
             )
         if isinstance(other, _EXACT_INPUTS):
             return GaussianRational(self.re * other, self.im * other)
-        if isinstance(other, _FLOAT_INPUTS):
-            return complex(self) * other
         return NotImplemented
 
     __rmul__ = __mul__
@@ -112,15 +105,11 @@ class GaussianRational:
                 (self.re * other.re + self.im * other.im) / d,
                 (self.im * other.re - self.re * other.im) / d,
             )
-        if isinstance(other, _FLOAT_INPUTS):
-            return complex(self) / other
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, _EXACT_INPUTS):
             return GaussianRational(other).__truediv__(self)
-        if isinstance(other, _FLOAT_INPUTS):
-            return other / complex(self)
         return NotImplemented
 
     def __pow__(self, n):
@@ -155,7 +144,7 @@ class GaussianRational:
             return self.re == other.re and self.im == other.im
         if isinstance(other, _EXACT_INPUTS):
             return self.im == 0 and self.re == other
-        if isinstance(other, _FLOAT_INPUTS):
+        if isinstance(other, (float, complex)):
             return complex(self) == other
         return NotImplemented
 
@@ -205,9 +194,7 @@ def is_exact(value) -> bool:
 
 
 def conj(value):
-    if isinstance(value, GaussianRational):
-        return value.conjugate()
-    return value.conjugate() if isinstance(value, complex) else as_scalar(value).conjugate()
+    return as_scalar(value).conjugate()
 
 
 def rational_sqrt(value: Fraction):

@@ -2,7 +2,8 @@
 
 The backend is chosen in one place, :func:`plan`: it finds the roots once
 and takes the exact route when every root is a Gaussian rational and the
-forcing is exact, else the float route, converting the equation once.
+equation is exact, else the float route, converting the equation once.
+Exact and float values never mix below it, so its choice is final.
 
 Factoring the operator p(D) into first-order factors (D - r_i I) reduces the
 equation to one first-order linear solve per characteristic root.  Each stage
@@ -43,7 +44,7 @@ from .algebra import Expr, _real_part, realify, scale, solve_stage
 from .errors import NonConvergence, NotClosedForm, NotConjugateSymmetric, VerificationFailed
 from .model import LinearODE
 from .roots import characteristic, find_roots
-from .scalars import GaussianRational, as_scalar, conj as _conj, is_exact
+from .scalars import as_scalar, conj as _conj
 from .verify import residual_symbolic
 
 
@@ -72,21 +73,20 @@ class CascadeTrace(namedtuple("CascadeTrace",
     __slots__ = ()
 
 
-def solve_first_order(r, g: Expr) -> Expr:
-    """Particular solution of phi' - r*phi = g (see :func:`solve_stage`)."""
-    return solve_stage(r, g)
+#: Particular solution of phi' - r*phi = g, one cascade stage.
+solve_first_order = solve_stage
 
 
 def cascade(roots_seq, q: Expr, a_n=1) -> CascadeTrace:
     """Run every stage across the given root sequence.
 
     ``roots_seq`` must already be expanded to the full equation order
-    (repeated roots listed repeatedly).  Raises :class:`NotClosedForm`,
-    annotated with the failing stage, when an integrand leaves the algebra.
+    (repeated roots listed repeatedly), in the backend of ``q`` and ``a_n``
+    (a mix raises ``TypeError``).  Raises :class:`NotClosedForm`, annotated
+    with the failing stage, when an integrand leaves the algebra.
     """
     a_n = as_scalar(a_n)
-    g = first = scale(GaussianRational(1) / a_n if is_exact(a_n) and q.is_exact()
-                      else 1.0 / complex(a_n), q)
+    g = first = scale(1 / a_n, q)
     stages = []
     for idx, r in enumerate(roots_seq, start=1):
         try:
@@ -122,7 +122,7 @@ class SolvePlan(namedtuple("SolvePlan", "ode roots seq")):
 
 def plan(ode: LinearODE, backend=None) -> SolvePlan:
     """Find the roots and choose the backend, each once: exact when every
-    root is a Gaussian rational and the forcing is exact, else float.
+    root is a Gaussian rational and the equation is exact, else float.
 
     ``backend="exact"`` (``solve --exact``) refuses a root that is not a
     Gaussian rational with :class:`NonConvergence` before converting
@@ -135,11 +135,10 @@ def plan(ode: LinearODE, backend=None) -> SolvePlan:
     rootset = find_roots(characteristic(ode))
     if backend == "exact" and not rootset.all_exact():
         raise NonConvergence("roots are not expressible as Gaussian rationals", ())
-    if float_ode is None:
-        if rootset.all_exact() and ode.forcing.is_exact():
-            return SolvePlan(ode, rootset, rootset.expand())
-        float_ode = ode.to_float()
-    return SolvePlan(float_ode, rootset, tuple(complex(r) for r in rootset.expand()))
+    if float_ode is None and rootset.all_exact() and ode.is_exact():
+        return SolvePlan(ode, rootset, rootset.expand())
+    return SolvePlan(float_ode or ode.to_float(), rootset,
+                     tuple(complex(r) for r in rootset.expand()))
 
 
 def particular_solution(ode):

@@ -85,7 +85,7 @@ class PowerCoefODE(namedtuple("PowerCoefODE", "a n forcing x0 x1")):
     def coefficient(self, x):
         """w(x) in the factored-form equation y'' - w(x) y = q."""
         a, n = self.a, self.n
-        w = a * a * x ** (2 * n)
+        w = a * a * _pow(x, 2 * n)
         if n >= 1:
             w = w + a * n * x ** (n - 1)
         return w
@@ -123,8 +123,15 @@ def recognize_factorable(b: float, m: int, forcing=None,
     return PowerCoefODE(math.sqrt(-b), m // 2, forcing, x0, x1)
 
 
+def _pow(x: float, k: int) -> float:
+    try:
+        return x ** k
+    except OverflowError as exc:
+        raise OverflowGuard(f"x^{k} at x={x} is beyond double range") from exc
+
+
 def _exp_arg(a: float, n: int, x: float) -> float:
-    return a * x ** (n + 1) / (n + 1)
+    return a * _pow(x, n + 1) / (n + 1)
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:

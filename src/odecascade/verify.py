@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .algebra import Expr, Term, _apply_by_shift, _negligible, differentiate, normalize, scale
 from .errors import LogForcingUnsupported
@@ -31,11 +30,19 @@ class Residual(namedtuple("Residual", "expr is_zero status")):
     __slots__ = ()
 
 
+def _one_backend(ode: LinearODE, *ys: Expr):
+    """The equation and the candidates as given when all are exact, else
+    all in floats (``to_float()`` leaves a float value as it is)."""
+    if ode.is_exact() and all(y.is_exact() for y in ys):
+        return ode, ys
+    return ode.to_float(), tuple(y.to_float() for y in ys)
+
+
 def apply_operator(ode: LinearODE, y: Expr) -> Expr:
     """Sum a_k * d^k y / dt^k, normalized.
 
-    With exact coefficients and an exact ``y`` the operator is applied per
-    rate lam by the exponential-shift identity
+    A mixed pair is converted to floats first.  On an exact pair the
+    operator is applied per rate lam by the exponential-shift identity
 
         p(D)[f e^(lam t)] = e^(lam t) * sum_i c_i f^(i),
         c_i = p^(i)(lam) / i! = sum_k a_k C(k, i) lam^(k-i),
@@ -43,10 +50,11 @@ def apply_operator(ode: LinearODE, y: Expr) -> Expr:
     where f^(i) differentiates only the t^k ln(t)^m part (so logs and
     negative powers are covered).  The sum runs on Gaussian-integer
     numerators (:func:`odecascade.algebra._apply_by_shift`) and each output
-    coefficient is reduced once.  Any float pair is differentiated k times
+    coefficient is reduced once.  A float pair is differentiated k times
     and scaled, as the float residual verdicts expect.
     """
-    if y.is_exact() and all(isinstance(a, Fraction) for a in ode.coeffs):
+    ode, (y,) = _one_backend(ode, y)
+    if ode.is_exact():
         return _apply_by_shift(ode.coeffs, y)
     out = Expr.zero()
     d = y
@@ -63,7 +71,7 @@ def _zero_verdict(diff: Expr, exact: bool, refs: tuple) -> tuple[bool, str]:
     zero test (:func:`~odecascade.algebra._negligible`), scaled by ``refs``.
     The float scale is computed on the float branch only, so an exact path
     never converts a coefficient to float (10^400 would overflow)."""
-    if exact and diff.is_exact():
+    if exact:
         return (diff.is_zero, STATUS_EXACT_ZERO if diff.is_zero else STATUS_NONZERO)
     ok = _negligible(diff, refs)
     return (ok, STATUS_ZERO_TOL if ok else STATUS_NONZERO)
@@ -73,13 +81,12 @@ def residual_symbolic(ode: LinearODE, y_p: Expr) -> Residual:
     """Apply the operator, subtract the forcing, and test for zero.
 
     An exact equation with an exact candidate is checked exactly; any other
-    pair is checked on the float backend (``ode.to_float()``).  The
+    pair is converted once to floats and checked there.  The
     approximate backend's zero test is relative to the coefficient scale
     of L[y_p] and q, not of the residual itself, so cancellations down to
     roundoff count as zero.
     """
-    if not (ode.is_exact() and y_p.is_exact()):
-        ode = ode.to_float()
+    ode, (y_p,) = _one_backend(ode, y_p)
     applied = apply_operator(ode, y_p)
     diff = applied - ode.forcing
     exact = applied.is_exact() and ode.forcing.is_exact()
@@ -89,7 +96,8 @@ def residual_symbolic(ode: LinearODE, y_p: Expr) -> Residual:
 
 def equal_mod_homogeneous(ode: LinearODE, y1: Expr, y2: Expr) -> bool:
     """True iff L[y1 - y2] is zero, i.e. y1 and y2 differ by a homogeneous
-    solution: the right equivalence for particular solutions."""
+    solution: the right equivalence for particular solutions (in floats if mixed)."""
+    ode, (y1, y2) = _one_backend(ode, y1, y2)
     applied1 = apply_operator(ode, y1)
     applied2 = apply_operator(ode, y2)
     diff = applied1 - applied2
@@ -117,9 +125,8 @@ def _rate_multiplicity(chain, lam, exact: bool) -> int:
             if value:
                 return i
         else:
-            scale_ = sum(abs(complex(c)) for c in poly.coeffs) \
-                * max(1.0, abs(complex(lam))) ** poly.degree
-            if abs(complex(value)) > 1e-8 * max(scale_, 1.0):
+            scale_ = sum(map(abs, poly.coeffs)) * max(1.0, abs(lam)) ** poly.degree
+            if abs(value) > 1e-8 * max(scale_, 1.0):
                 return i
     return len(chain) - 1
 
@@ -143,11 +150,9 @@ def oracle_undetermined_coefficients(ode: LinearODE, q: Expr) -> Expr:
             "terms or negative powers of t; use the cascade solver"
         )
 
+    ode, (q,) = _one_backend(ode, q)
+    exact = ode.is_exact()
     p = characteristic(ode)
-    exact = q.is_exact() and all(isinstance(c, Fraction) for c in ode.coeffs)
-    if not exact:
-        q = q.to_float()
-        p = CharPoly(tuple(float(c) for c in p.coeffs))
     chain = _derivative_chain(p)
     n = p.degree
 

@@ -294,11 +294,29 @@ def test_float_exponent_snapping_merges_resonant_keys():
     assert near_zero.terms[0].exponent == 0
 
 
-def test_backend_coercion_on_mixing():
+def test_mixing_backends_in_a_sum_raises():
     exact = E(term(Fraction(1, 3), 1))
-    mixed = add(exact, normalize([Term(0.5, 1, 0, 0.0)]))
-    assert not mixed.is_exact()
-    assert mixed.terms[0].coeff == pytest.approx(1 / 3 + 0.5)
+    floats = normalize([Term(0.5, 1, 0, 0.0)])
+    with pytest.raises(TypeError):
+        add(exact, floats)
+    with pytest.raises(TypeError):
+        normalize([Term(Fraction(1, 3), 1), Term(0.5, 1, 0, 0.0)])
+    total = add(exact.to_float(), floats)
+    assert not total.is_exact()
+    assert total.terms[0].coeff == pytest.approx(1 / 3 + 0.5)
+
+
+def test_a_term_holds_one_backend():
+    # the exact field of a mixed term is converted when the term is built
+    t = Term(0.5)
+    assert type(t.coeff) is complex and type(t.exponent) is complex
+    t = Term(GR(1, 2), 1, 0, 0.25)
+    assert t.coeff == 1 + 2j and type(t.coeff) is complex and not t.is_exact()
+    r = RealTerm(0.5, 1, 0, Fraction(1, 2), 2)
+    assert (r.coeff, r.alpha, r.beta) == (0.5, 0.5, 2.0)
+    assert all(type(v) is float for v in (r.coeff, r.alpha, r.beta)) and not r.is_exact()
+    with pytest.raises(TypeError):
+        RealExpr([RealTerm(Fraction(1, 3)), RealTerm(0.5, 1)])
 
 
 # ---------------------------------------------------------------------------

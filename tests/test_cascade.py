@@ -20,6 +20,7 @@ from odecascade import (
     parse_forcing,
     parse_ode,
     particular_solution,
+    plan,
     residual_symbolic,
     scale,
     solve_first_order,
@@ -237,7 +238,8 @@ def test_pipeline_trace_carries_roots_and_residual(text):
     assert trace.roots == find_roots(characteristic(ode))
     assert trace.residual == residual_symbolic(ode, trace.y_p)
     assert trace.residual.is_zero
-    assert cascade(trace.roots.expand(), ode.forcing).roots is None
+    route = plan(ode)  # the stage roots and the forcing in the plan's one backend
+    assert cascade(route.seq, route.ode.forcing, route.ode.coeffs[-1]).roots is None
 
 
 @pytest.mark.parametrize("k", [100, 171])

@@ -86,8 +86,9 @@ def _varcoef_args():
     return st.builds(
         lambda a, n, q, x0, x1, h: ["varcoef", "--x0", x0, "--x1", x1, "--step", h,
                                     "--", a, str(n), q],
-        st.sampled_from(["1.0", "0", "-2", "0.5", "nan"]),
-        st.integers(-1, 3),
+        st.sampled_from(["1.0", "0", "-2", "0.5", "nan", "1e-300"]),
+        # large n reaches the powers past double range on domains beyond |x| = 1
+        st.one_of(st.integers(-1, 3), st.sampled_from([600, 2000])),
         _numeric_forcings,
         st.sampled_from(["0", "-1", "0.5", "-inf", "nan"]),
         st.sampled_from(["1", "2", "0.5", "inf", "-1"]),
@@ -189,6 +190,13 @@ def _case(name, args, code, message=None, seconds=None, **kw):
           "error: forcing is undefined at x=0.0: math domain error"),
     _case("varcoef-infinite-domain", ["varcoef", "0", "0", "1", "--x1", "inf"], 1,
           "error: need a finite domain"),
+    # a power past double range: in the exponent guard, and in the factored
+    # form's coefficient x^(2n) after a tiny a passed that guard
+    _case("varcoef-power-overflow-guard", ["varcoef", "0", "2000", "1", "--x1", "2"], 1,
+          "error: x^2001 at x=2.0 is beyond double range"),
+    _case("varcoef-power-overflow-coefficient",
+          ["varcoef", "1e-300", "600", "1", "--x1", "2"], 1,
+          "error: x^1200 at x="),
     # coefficients with no double value on the float path
     _case("float-coefficient-overflow", ["solve", "y' + y = 1e400", "--float"], 1,
           "error: a coefficient is beyond double range"),

@@ -60,11 +60,19 @@ def test_mixing_with_exact_types_stays_exact():
     assert Fraction(1, 2) * a == GR(Fraction(1, 6))
 
 
-def test_mixing_with_floats_coerces_to_complex():
+def test_mixing_with_floats_raises():
+    # the two backends never mix: a float result only by an explicit conversion
     a = GR(1, 2)
-    assert isinstance(a + 0.5, complex)
-    assert a + 0.5 == 1.5 + 2j
-    assert a * 1j == complex(a) * 1j
+    for op in (lambda: a + 0.5, lambda: 0.5 + a, lambda: a - 0.5, lambda: 0.5 - a,
+               lambda: a * 1j, lambda: 1j * a, lambda: a / 2.0, lambda: 2.0 / a,
+               lambda: GR(1) + 0.5):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_explicit_conversion_to_complex():
+    a = GR(1, 2)
+    assert complex(a) + 0.5 == 1.5 + 2j
     assert complex(GR(Fraction(1, 2), Fraction(-3, 4))) == 0.5 - 0.75j
 
 

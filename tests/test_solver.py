@@ -10,10 +10,14 @@ from odecascade import (
     LinearODE,
     NonConvergence,
     SolvePlan,
+    cascade,
+    normalize,
+    parse_forcing,
     parse_ode,
     particular_solution,
     plan,
     render,
+    term,
 )
 from odecascade import solver
 
@@ -86,6 +90,28 @@ def test_plan_float_backend_keeps_exact_roots():
     assert p.roots.all_exact()
     assert all(isinstance(r, complex) for r in p.seq)
     assert not p.ode.forcing.is_exact()
+
+
+def test_float_coefficients_take_the_float_route(conversions):
+    # exact roots (-1 twice) with float coefficients: the whole solve is
+    # float, its stage roots too, so no stage mixes the two backends
+    ode = LinearODE((1.0, 2.0, 1.0), parse_forcing("t"))
+    _, trace = particular_solution(ode)
+    assert len(conversions) == 1
+    assert trace.roots.all_exact()
+    assert all(type(st.root) is complex for st in trace.stages)
+    assert all(not st.input.is_exact() and not st.output.is_exact() for st in trace.stages)
+    assert not trace.y_p.is_exact()
+    assert trace.y_p.approx_equal(normalize([term(-2.0), term(1.0, 1)]))  # y_p = t - 2
+    assert trace.residual.status == "zero-within-tolerance"
+
+
+def test_cascade_refuses_exact_roots_with_a_float_forcing():
+    exact = plan(parse_ode("y'' + y = t"))
+    assert exact.roots.all_exact()
+    for a_n in (1, 1.0):  # the float a_n passes the scaling and fails in the stage
+        with pytest.raises(TypeError):
+            cascade(exact.seq, exact.ode.forcing.to_float(), a_n)
 
 
 def test_plan_rejects_unknown_backend():

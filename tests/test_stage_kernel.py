@@ -144,7 +144,7 @@ def test_float_kernel_matches_route_bit_for_bit():
         r, g = float_case(rng)
         near += any(0 < abs(t.exponent - r) < 1e-10 for t in g.terms)
         for got, want in ((outcome(solve_first_order, r, g), outcome(reference_stage, r, g)),
-                          (outcome(antiderivative, g), outcome(reference_stage, 0, g))):
+                          (outcome(antiderivative, g), outcome(reference_stage, 0j, g))):
             assert got == want, (r, g)
             # == treats -0.0 and 0.0 alike; repr shows the sign of zero parts
             assert repr(got) == repr(want), (r, g)
