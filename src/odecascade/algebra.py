@@ -40,7 +40,8 @@ expressions represent the same function iff they are structurally equal
 or reorder build that form directly: negation keeps every key; on exact data
 :func:`solve_stage` sorts each rate group's keys (groups come in order),
 :func:`_apply_by_shift`, :func:`_real_part` and :func:`realify` emit in order
-and drop zeros, and parser leaves are single terms (:func:`_one_term`).  They
+and drop zeros, parser leaves are single terms (:func:`_one_term`), and
+``to_float`` rounds in place, refusing rates that round together.  They
 build terms with the private ``tuple.__new__(Term, (coeff, tpow, logpow, lam))``,
 which takes only scalars already in the backend's type; public ``Term`` checks.
 :func:`_canonicalize` (merge, drop zeros, sort) runs everywhere else: sums,
@@ -60,11 +61,11 @@ import cmath
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, pairwise
 from operator import attrgetter, itemgetter
 
 from .errors import DomainError, NotClosedForm, NotConjugateSymmetric, OverflowGuard
-from .scalars import GaussianRational, as_scalar, conj as _conj_scalar, is_exact
+from .scalars import GaussianRational, as_scalar, conj as _conj_scalar, is_exact, to_double
 
 #: Relative tolerance of the approximate backend's zero test.  A coefficient
 #: counts as zero when its magnitude is at most REL_EPS times the largest
@@ -137,12 +138,14 @@ def _snap_exponents(terms, eps):
 def _merge(pairs, exact: bool) -> list:
     """(key, coeff) pairs with the coefficients of equal keys summed, in
     first-seen key order, without the zero sums: exact zeros, or float ones
-    within REL_EPS of the largest magnitude."""
+    within REL_EPS of the largest magnitude; OverflowGuard for a float inf or NaN."""
     merged: dict = {}
     for key, c in pairs:
         merged[key] = merged[key] + c if key in merged else c
     if exact:
         return [(k, c) for k, c in merged.items() if c]
+    if not all(map(cmath.isfinite, merged.values())):
+        raise OverflowGuard("a float coefficient is past the double range")
     floor = REL_EPS * max(map(abs, merged.values()), default=0.0)
     return [(k, c) for k, c in merged.items() if abs(c) > floor]
 
@@ -158,7 +161,8 @@ def _negligible(diff, refs) -> bool:
 class _Sum:
     """Immutable canonical sum of terms; the zero function is the empty sum.
     ``cls(terms, _canonical=True)`` trusts ``terms`` to be canonical already.
-    A subclass gives its canonicalizer ``_canon`` and term formatter ``_show``."""
+    A subclass gives its canonicalizer ``_canon``, term formatter ``_show``,
+    term sort key ``_order`` and the names of its rate fields ``_rates``."""
 
     __slots__ = ("terms",)
 
@@ -174,6 +178,19 @@ class _Sum:
 
     def is_exact(self) -> bool:
         return not self.terms or self.terms[0].is_exact()  # one backend per sum
+
+    def to_float(self):
+        """Each coefficient and rate rounded once by :func:`to_double`, nothing
+        merged, dropped or snapped (a float sum unchanged); OverflowGuard also
+        for rates that round together."""
+        if not self.is_exact():
+            return self
+        terms = [t._replace(coeff=to_double(t.coeff, "a coefficient"),
+                            **{f: to_double(getattr(t, f), "a rate") for f in self._rates})
+                 for t in self.terms]
+        if any(a >= b for a, b in pairwise(map(self._order, terms))):
+            raise OverflowGuard("two rates are not distinct as doubles")
+        return type(self)(terms, _canonical=True)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):
@@ -224,6 +241,7 @@ class Expr(_Sum):
 
     __slots__ = ()
     _canon = staticmethod(_canonicalize)
+    _order, _rates = staticmethod(_sort_key), ("exponent",)
 
     @staticmethod
     def _show(t):
@@ -234,12 +252,6 @@ class Expr(_Sum):
     @staticmethod
     def zero() -> "Expr":
         return Expr((), _canonical=True)
-
-    def to_float(self) -> "Expr":
-        if not self.is_exact():  # a float sum unchanged
-            return self
-        return normalize([Term(complex(t.coeff), t.tpow, t.logpow, complex(t.exponent))
-                          for t in self.terms])
 
     def max_coeff_mag(self) -> float:
         return max((abs(t.coeff) for t in self.terms), default=0.0)
@@ -648,6 +660,7 @@ class RealExpr(_Sum):
 
     __slots__ = ()
     _canon = staticmethod(_canonicalize_real)
+    _order, _rates = attrgetter("key"), ("alpha", "beta")
 
     @staticmethod
     def _show(t):

@@ -19,7 +19,8 @@ import time
 
 from . import __version__
 from .algebra import Expr, RealTerm, evaluate
-from .errors import NotClosedForm, OdeCascadeError, ParseError, VerificationFailed
+from .errors import (NonConvergence, NotClosedForm, OdeCascadeError, ParseError,
+                     VerificationFailed)
 from .parsing import (
     _digit_limit,
     _real_part_json,
@@ -112,11 +113,14 @@ def solve(ode_text, as_json, as_latex, show_steps, force_exact, force_float):
         _fail("--exact and --float are mutually exclusive")
     ode = parse_ode(ode_text)
     t0 = time.perf_counter()
-    solve_plan = plan(ode, "exact" if force_exact else "float" if force_float else None)
+    solve_plan = plan(ode)
+    if force_exact and not solve_plan.roots.all_exact():
+        raise NonConvergence("roots are not expressible as Gaussian rationals", ())
     _, trace = particular_solution(solve_plan)
     elapsed = time.perf_counter() - t0
-    if force_float:  # the report shows the forcing the cascade solved
-        ode = ode._replace(forcing=solve_plan.ode.forcing)
+    if force_float:  # the answer rounded once, at the edge
+        real = trace.y_p_real
+        trace = trace._replace(y_p=trace.y_p.to_float(), y_p_real=real and real.to_float())
 
     # The whole report is built before any of it is printed, so a result
     # too large to print gives one error line and no partial report.
@@ -245,9 +249,8 @@ def _parser() -> argparse.ArgumentParser:
             ("--steps", "show_steps", "include the stage trace"),
             ("--exact", "force_exact", "require exact (Gaussian-rational) arithmetic"),
             ("--float", "force_float",
-             "convert the equation to floats and run the cascade and the "
-             "residual check on it; the roots are found from the exact "
-             "coefficients")):
+             "round the exact answer once to floats; the float cascade runs "
+             "only when a root is not a Gaussian rational")):
         sub.add_argument(flag, dest=dest, action="store_true", help=text)
     for sub in (command("roots", roots, "ode_text"),
                 command("verify", verify, "ode_text", "candidate_text")):

@@ -6,8 +6,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import Expr
+from .algebra import REL_EPS, Expr
 from .errors import OverflowGuard
+from .scalars import to_double
 
 
 class LinearODE(namedtuple("LinearODE", "coeffs forcing var")):
@@ -43,23 +44,16 @@ class LinearODE(namedtuple("LinearODE", "coeffs forcing var")):
         return all(isinstance(c, Fraction) for c in self.coeffs) and self.forcing.is_exact()
 
     def to_float(self) -> "LinearODE":
-        """The same equation in floats (an all-float one unchanged);
-        OverflowGuard for a value with no double, or a nonzero one that
-        rounds to 0.0."""
+        """The same equation in floats, each value rounded once by :func:`to_double`
+        (an all-float one unchanged); OverflowGuard also for a forcing term at
+        most REL_EPS times the largest, which the float zero test would drop."""
         if all(isinstance(c, float) for c in self.coeffs) and not (
                 self.forcing and self.forcing.is_exact()):
             return self
-        try:
-            coeffs = tuple(float(c) for c in self.coeffs)
-            forcing = self.forcing.to_float()
-        except OverflowError as exc:
-            raise OverflowGuard(f"a coefficient is beyond double range: {exc}") from exc
-        if not coeffs[-1]:
-            raise OverflowGuard("the leading coefficient underflows to zero as a float")
-        # a forcing term lost to underflow shortens the sum, so only a shorter
-        # one is searched
-        if any(c and not f for c, f in zip(self.coeffs, coeffs)) or (
-                len(forcing) < len(self.forcing)
-                and any(t.coeff and not complex(t.coeff) for t in self.forcing.terms)):
-            raise OverflowGuard("a nonzero coefficient underflows to zero as a float")
+        coeffs = tuple(to_double(c, "a coefficient") for c in self.coeffs)
+        forcing = self.forcing.to_float()
+        floor = REL_EPS * forcing.max_coeff_mag()
+        if any(abs(t.coeff) <= floor for t in forcing):
+            raise OverflowGuard(f"the forcing's coefficients span more than 1/REL_EPS = "
+                                f"{1 / REL_EPS:.0e}, past what the float route resolves")
         return LinearODE(coeffs, forcing, self.var)

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import DegreeLimitExceeded, NonConvergence, OverflowGuard
 from .model import LinearODE
-from .scalars import GaussianRational, rational_sqrt
+from .scalars import GaussianRational, rational_sqrt, to_double
 
 NUMERIC_DEGREE_CAP = 12
 
@@ -149,8 +149,10 @@ def find_roots(p: CharPoly) -> RootSet:
                 entries.append(RootEntry(GaussianRational(re, im), mult, True))
                 if im:
                     entries.append(RootEntry(GaussianRational(re, -im), mult, True))
-        if len(factor) > 1:
-            entries.extend(_numeric_roots(_monic_floats(factor), mult))
+        if len(factor) > 1:  # as the correctly rounded ratios c_k / lead
+            monic = [complex(to_double(Fraction(c, factor[-1]), "a characteristic coefficient"))
+                     for c in factor]
+            entries.extend(_numeric_roots(monic, mult))
     return RootSet(tuple(entries))
 
 
@@ -306,20 +308,6 @@ def _aberth(monic: list[complex]):
         if converged or max_step < 1e-15:
             break
     return roots, sweeps_used
-
-
-def _monic_floats(s: list[int]) -> list[complex]:
-    """The correctly rounded ratios c_k / lead of the integer polynomial s;
-    OverflowGuard when a ratio overflows or a nonzero one rounds to 0.0."""
-    try:
-        monic = [complex(c / s[-1]) for c in s]
-    except OverflowError as exc:
-        raise OverflowGuard(
-            f"a characteristic coefficient has no double value: {exc}") from exc
-    if any(c and not m for c, m in zip(s, monic)):
-        raise OverflowGuard(
-            "a characteristic coefficient has no double value: a ratio underflows to 0.0")
-    return monic
 
 
 def _numeric_roots(monic: list[complex], multiplicity: int) -> list[RootEntry]:

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import OverflowGuard
+
 _EXACT_INPUTS = (int, Fraction)
 
 
@@ -187,6 +189,19 @@ def as_scalar(value):
     if isinstance(value, complex):
         return value
     raise TypeError(f"cannot use {type(value).__name__} as a scalar")
+
+
+def to_double(value, what: str):
+    """``value`` rounded once to the nearest double, a ``complex`` for a
+    complex or Gaussian-rational value; OverflowGuard, naming it ``what``,
+    when it has no double value: past the range, or nonzero and rounding to 0.0."""
+    try:
+        out = complex(value) if isinstance(value, (GaussianRational, complex)) else float(value)
+    except OverflowError as exc:
+        raise OverflowGuard(f"{what} has no double value: {exc}") from exc
+    if value and not out:
+        raise OverflowGuard(f"{what} has no double value: a nonzero value rounds to 0.0")
+    return out
 
 
 def is_exact(value) -> bool:

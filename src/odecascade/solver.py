@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 
 from .algebra import Expr, _real_part, realify, scale, solve_stage
-from .errors import NonConvergence, NotClosedForm, NotConjugateSymmetric, VerificationFailed
+from .errors import NotClosedForm, NotConjugateSymmetric, VerificationFailed
 from .model import LinearODE
 from .roots import characteristic, find_roots
 from .scalars import as_scalar, conj as _conj
@@ -113,47 +113,40 @@ def cascade(roots_seq, q: Expr, a_n=1) -> CascadeTrace:
 
 
 class SolvePlan(namedtuple("SolvePlan", "ode roots seq")):
-    """One solve's route: the equation the stages and the residual check run
-    on (the input, or its float conversion), the characteristic
-    :class:`~odecascade.roots.RootSet` and the stage roots in that backend."""
+    """One solve's route: the equation as given, the characteristic
+    :class:`~odecascade.roots.RootSet` and the stage roots, Gaussian
+    rationals on the exact route and ``complex`` on the float route."""
 
     __slots__ = ()
 
 
-def plan(ode: LinearODE, backend=None) -> SolvePlan:
-    """Find the roots and choose the backend, each once: exact when every
-    root is a Gaussian rational and the equation is exact, else float.
-
-    ``backend="exact"`` (``solve --exact``) refuses a root that is not a
-    Gaussian rational with :class:`NonConvergence` before converting
-    anything; ``"float"`` (``solve --float``) takes the float route,
-    converting before the roots are found from the exact coefficients.
-    """
-    if backend not in (None, "exact", "float"):
-        raise ValueError(f"backend must be None, 'exact' or 'float', not {backend!r}")
-    float_ode = ode.to_float() if backend == "float" else None
+def plan(ode: LinearODE) -> SolvePlan:
+    """Find the roots once and choose the route: exact when every root is a
+    Gaussian rational and the equation is exact, else float.  Nothing is
+    converted here; a caller that must stay exact checks
+    ``plan.roots.all_exact()``."""
     rootset = find_roots(characteristic(ode))
-    if backend == "exact" and not rootset.all_exact():
-        raise NonConvergence("roots are not expressible as Gaussian rationals", ())
-    if float_ode is None and rootset.all_exact() and ode.is_exact():
-        return SolvePlan(ode, rootset, rootset.expand())
-    return SolvePlan(float_ode or ode.to_float(), rootset,
-                     tuple(complex(r) for r in rootset.expand()))
+    seq = rootset.expand()
+    if not (rootset.all_exact() and ode.is_exact()):
+        seq = tuple(map(complex, seq))
+    return SolvePlan(ode, rootset, seq)
 
 
 def particular_solution(ode):
     """End-to-end pipeline: plan -> cascade -> realify.
 
-    ``ode`` is a :class:`LinearODE` or a :class:`SolvePlan` made for one.
+    ``ode`` is a :class:`LinearODE` or a :class:`SolvePlan` made for one;
+    on the float route its equation is converted once, by ``to_float()``.
     Returns ``(solution, trace)`` where the solution is the real form when
     the problem admits one, otherwise the complex-exponential form; the
     trace carries the plan's roots and the residual computed on the way.
-    The result is checked against the plan's equation before returning; a
+    The result is checked against the equation the stages ran on; a
     nonzero residual raises :class:`VerificationFailed` (internal bug guard).
     """
     p = ode if isinstance(ode, SolvePlan) else plan(ode)
-    trace = cascade(p.seq, p.ode.forcing, p.ode.coeffs[-1])
-    res = residual_symbolic(p.ode, trace.y_p)
+    eq = p.ode.to_float() if type(p.seq[0]) is complex else p.ode
+    trace = cascade(p.seq, eq.forcing, eq.coeffs[-1])
+    res = residual_symbolic(eq, trace.y_p)
     if not res.is_zero:
         raise VerificationFailed(
             f"cascade result failed the residual check: {res.expr!r}"

@@ -10,6 +10,7 @@ from odecascade import (
     GaussianRational as GR,
     NotClosedForm,
     NotConjugateSymmetric,
+    OverflowGuard,
     RealExpr,
     RealTerm,
     Term,
@@ -450,3 +451,49 @@ def test_realify_embedding_round_trip(re):
 def test_normalize_shuffle_invariance(e):
     shuffled = list(e.terms)[::-1]
     assert normalize(shuffled) == e
+
+
+# ---------------------------------------------------------------------------
+# rounding to floats
+# ---------------------------------------------------------------------------
+
+@given(exprs_strategy, real_exprs_strategy)
+def test_to_float_rounds_each_value_once(e, re):
+    for exact, fields in ((e, ("coeff", "exponent")), (re, ("coeff", "alpha", "beta"))):
+        rounded = exact.to_float()
+        assert len(rounded) == len(exact) and rounded.to_float() == rounded
+        assert not exact or (not rounded.is_exact() and rounded.to_float() is rounded)
+        for x, f in zip(exact, rounded):
+            assert (x.tpow, x.logpow) == (f.tpow, f.logpow)
+            for name in fields:
+                want = getattr(x, name)
+                want = complex(want) if isinstance(want, GR) else float(want)
+                assert getattr(f, name) == want and type(getattr(f, name)) is type(want)
+
+
+def test_to_float_drops_nothing_and_refuses_what_it_cannot_hold():
+    wide = E(term(10 ** 15, 1), term(1, 2), term(-2))
+    assert len(wide.to_float()) == 3  # normalize would drop t^2 and -2
+    assert RealExpr([RealTerm(10 ** 15, 1), RealTerm(-2)]).to_float().terms \
+        == (RealTerm(-2.0), RealTerm(1e15, 1))
+    with pytest.raises(OverflowGuard, match="^a coefficient has no double value"):
+        E(term(10 ** 400)).to_float()
+    with pytest.raises(OverflowGuard, match="^a coefficient has no double value"):
+        RealExpr([RealTerm(Fraction(1, 10 ** 400))]).to_float()
+    with pytest.raises(OverflowGuard, match="^a rate has no double value"):
+        E(term(1, 0, 0, GR(Fraction(1, 10 ** 400)))).to_float()
+    close = GR(1 + Fraction(1, 10 ** 30))
+    with pytest.raises(OverflowGuard, match="not distinct as doubles"):
+        E(term(1, 0, 0, 1), term(1, 0, 0, close)).to_float()
+    # distinct real parts that round to one double, the smaller with the larger
+    # imaginary part: the rounded terms would leave canonical order
+    with pytest.raises(OverflowGuard, match="not distinct as doubles"):
+        E(term(1, 0, 0, GR(1, 1)), term(1, 0, 0, GR(close.re, 0))).to_float()
+
+
+def test_float_sums_refuse_infinite_coefficients():
+    big = E(term(1e308))
+    with pytest.raises(OverflowGuard, match="past the double range"):
+        big + big
+    with pytest.raises(OverflowGuard, match="past the double range"):
+        RealExpr([RealTerm(1e308), RealTerm(1e308)])

@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from odecascade import evaluate, expr_from_json_terms, parse_forcing, parse_ode, particular_solution
+from odecascade import (evaluate, expr_from_json_terms, parse_forcing, parse_ode,
+                        particular_solution, render)
 from odecascade.cli import main
 
 from support import run_cli
@@ -83,7 +84,31 @@ def test_solve_result_too_long_to_print(flags):
 def test_solve_float_flag():
     result = run_cli(["solve", "y''-4y'+4y = t^3*exp(2t)", "--float"])
     assert result.exit_code == 0
-    assert "zero-within-tolerance" in result.output
+    assert "residual:       exact-zero" in result.output
+
+
+@pytest.mark.parametrize("text", [
+    # the four worked fixtures
+    "y'' + 5y' + 6y = exp(t)*cos(t)",
+    "y'' - 4y' + 4y = t^3*exp(2t)",
+    "y'' - 2y' + 5y = sin(t)",
+    "y'' + 4y' + 4y = exp(-2t)*ln(t)",
+    # a six-fold root and a resonant Gaussian pair
+    "y^(6) - 6y^(5) + 15y^(4) - 20y''' + 15y'' - 6y' + y = 5*t^3*ln(t)*exp(t)",
+    "y'' + 2y' + 5y = t*exp(-t)*sin(2t)",
+    # converting the equation lost the t^2 and -2 terms of the answer, and
+    # the leading coefficient underflowed
+    "y'' + y = 1000000000000000*t + t^2",
+    "1e-400y' + y = 1",
+])
+def test_solve_float_rounds_the_exact_answer_once(text):
+    exact, trace = particular_solution(parse_ode(text))
+    result = run_cli(["solve", "--float", text])
+    assert result.exit_code == 0, result.stderr
+    if trace.y_p_real is not None:
+        assert f"y_p (real):     {render(exact.to_float())}\n" in result.output
+    assert f"y_p (complex):  {render(trace.y_p.to_float())}\n" in result.output
+    assert "residual:       exact-zero" in result.output
 
 
 def test_float_flag_keeps_a_six_fold_root_exact():
@@ -93,7 +118,7 @@ def test_float_flag_keeps_a_six_fold_root_exact():
                          "- 6y' + y = 5*t^3*ln(t)*exp(t)"])
     assert result.exit_code == 0, result.stderr
     assert "roots:          1 (mult 6, exact)" in result.output
-    assert "residual:       zero-within-tolerance" in result.output
+    assert "residual:       exact-zero" in result.output
 
 
 def test_float_flag_double_root_from_decimal_coefficients():

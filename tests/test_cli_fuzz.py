@@ -197,22 +197,38 @@ def _case(name, args, code, message=None, seconds=None, **kw):
     _case("varcoef-power-overflow-coefficient",
           ["varcoef", "1e-300", "600", "1", "--x1", "2"], 1,
           "error: x^1200 at x="),
-    # coefficients with no double value on the float path
+    # values with no double value: the exact answer --float rounds, and a
+    # characteristic coefficient; a leading coefficient that has none leaves
+    # an exact root and an answer that has one
     _case("float-coefficient-overflow", ["solve", "y' + y = 1e400", "--float"], 1,
-          "error: a coefficient is beyond double range"),
-    _case("float-leading-underflow", ["solve", "1e-400y' + y = 1", "--float"], 1,
-          "error: the leading coefficient underflows to zero as a float"),
+          "error: a coefficient has no double value"),
+    _case("float-leading-underflow", ["solve", "1e-400y' + y = 1", "--float"], 0),
     _case("float-roots-overflow", ["solve", "y + 1e400y''' = 0"], 1,
           "error: a characteristic coefficient has no double value"),
     # values that round to 0.0: the forcing became the empty sum (exit 4, or
     # y_p = 0 under --float), and a tiny ratio gave three real roots to a
     # polynomial with a complex pair
     _case("float-forcing-underflow", ["solve", "y'' + y' - y = 1e-330*t"], 1,
-          "error: a nonzero coefficient underflows to zero as a float", seconds=1.0),
+          "error: a coefficient has no double value: a nonzero value rounds to 0.0",
+          seconds=1.0),
     _case("float-forcing-underflow-flag", ["solve", "--float", "y' + y = 1e-330"], 1,
-          "error: a nonzero coefficient underflows to zero as a float", seconds=1.0),
+          "error: a coefficient has no double value: a nonzero value rounds to 0.0",
+          seconds=1.0),
     _case("float-coefficient-underflow", ["solve", "--float", "y'' + 1e-330y' + y = 1"], 1,
-          "error: a nonzero coefficient underflows to zero as a float", seconds=1.0),
+          "error: a characteristic coefficient has no double value", seconds=1.0),
+    # a forcing the float route cannot resolve: the float zero test dropped
+    # its small terms, so y_p = -500000000000000.06*t passed the check, and
+    # the (t+1)^399 stages overflowed to an empty y_p (exit 4); parsing
+    # (t+1)^399 takes most of the second case's time, so it has no bound
+    _case("float-forcing-span", ["solve", "y'' - 2y = 1000000000000000*t + t^2"], 1,
+          "error: the forcing's coefficients span more than 1/REL_EPS = 1e+12",
+          seconds=1.0),
+    _case("float-forcing-span-power", ["solve", "y^(6)+y=(t+1)^399"], 1,
+          "error: the forcing's coefficients span more than 1/REL_EPS = 1e+12"),
+    # float stage coefficients past the double range (exit 4, inf-scale
+    # residual terms)
+    _case("float-stage-overflow", ["solve", "y'' - 2y = t^200"], 1,
+          "error: a float coefficient is past the double range", seconds=1.0),
     _case("roots-ratio-underflow", ["roots", "y''' + 1e-400y = 0"], 1,
           "error: a characteristic coefficient has no double value", seconds=1.0),
     _case("roots-ratio-overflow", ["roots", "y + 1e400y''' = 0"], 1,

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 
 from odecascade import GaussianRational as GR
-from odecascade import as_scalar, rational_sqrt
+from odecascade import OverflowGuard, as_scalar, rational_sqrt
+from odecascade.scalars import to_double
 
 from support import gaussian_rationals
 
@@ -137,3 +138,13 @@ def test_str_forms():
     assert str(GR(0, 1)) == "i"
     assert str(GR(0, -2)) == "-2i"
     assert str(GR(Fraction(1, 2))) == "1/2"
+
+
+def test_to_double_rounds_once_or_refuses():
+    assert to_double(Fraction(1, 3), "x") == 1 / 3 and type(to_double(Fraction(1, 3), "x")) is float
+    assert to_double(GR(Fraction(1, 3), -2), "x") == complex(1 / 3, -2.0)
+    assert to_double(0, "x") == 0.0 and to_double(0.5, "x") == 0.5
+    with pytest.raises(OverflowGuard, match="^a rate has no double value: "):
+        to_double(GR(10 ** 400), "a rate")
+    with pytest.raises(OverflowGuard, match="^a coefficient has no double value: a nonzero"):
+        to_double(Fraction(1, 10 ** 400), "a coefficient")

@@ -1,5 +1,6 @@
 """The solve plan: the roots are found once, the backend is chosen once and
-the equation is converted to floats at most once per solve."""
+the equation is converted to floats at most once per solve, only on the
+float route."""
 
 import importlib
 
@@ -7,8 +8,9 @@ import pytest
 
 from odecascade import (
     GaussianRational as GR,
+    Expr,
     LinearODE,
-    NonConvergence,
+    OverflowGuard,
     SolvePlan,
     cascade,
     normalize,
@@ -72,24 +74,31 @@ def test_plan_picks_exact_for_gaussian_rational_roots():
 def test_plan_picks_float_for_irrational_roots(conversions):
     ode = parse_ode("y'' - 2y = 1")
     p = plan(ode)
-    assert conversions == [p.ode]
-    assert all(isinstance(c, float) for c in p.ode.coeffs)
-    assert not p.ode.forcing.is_exact()
+    assert p.ode is ode and conversions == []  # the plan converts nothing
     assert all(isinstance(r, complex) for r in p.seq) and len(p.seq) == 2
     assert p.roots.all_exact() is False
+    particular_solution(p)  # the float route converts the equation once
+    assert len(conversions) == 1
+    assert all(isinstance(c, float) for c in conversions[0].coeffs)
+    assert not conversions[0].forcing.is_exact()
 
 
 def test_plan_exact_backend_refuses_before_converting(conversions):
-    with pytest.raises(NonConvergence, match="Gaussian rationals"):
-        plan(parse_ode("y'' - 2y = 1"), "exact")
+    # an exact-only caller reads the plan's roots: nothing is converted yet,
+    # so the 1e400, which has no double value, is not reached
+    p = plan(parse_ode("y'' - 2y = 1e400"))
+    assert not p.roots.all_exact()
     assert conversions == []
 
 
 def test_plan_float_backend_keeps_exact_roots():
-    p = plan(parse_ode("y'' + y = t"), "float")
-    assert p.roots.all_exact()
-    assert all(isinstance(r, complex) for r in p.seq)
-    assert not p.ode.forcing.is_exact()
+    # there is no float backend to ask for: exact roots take the exact route
+    ode = parse_ode("y'' + y = t")
+    with pytest.raises(TypeError):
+        plan(ode, "float")
+    p = plan(ode)
+    assert p.roots.all_exact() and p.ode is ode
+    assert all(isinstance(r, GR) for r in p.seq)
 
 
 def test_float_coefficients_take_the_float_route(conversions):
@@ -115,8 +124,10 @@ def test_cascade_refuses_exact_roots_with_a_float_forcing():
 
 
 def test_plan_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="backend"):
-        plan(parse_ode("y' + y = 1"), "double")
+    # ``plan``'s only parameter is the equation
+    for backend in ("double", "exact", None):
+        with pytest.raises(TypeError):
+            plan(parse_ode("y' + y = 1"), backend)
 
 
 def test_float_solve_converts_once_and_checks_the_plans_equation(monkeypatch, conversions):
@@ -168,8 +179,8 @@ def test_solve_exact_refusal_finds_roots_once(find_roots_calls, conversions):
     # --exact refuses from the roots before the equation is converted, which
     # would fail on 1e400
     (["solve", "--exact", "y'' - 2y = 1e400"], "roots are not expressible"),
-    # --float converts before the roots are found, which would fail first
-    (["solve", "--float", "y^(12) + 1e30y = 1e400"], "a coefficient is beyond double range"),
+    # --float finds the roots first, as without a flag
+    (["solve", "--float", "y^(12) + 1e30y = 1e400"], "numeric root finding left double range"),
 ])
 def test_solve_flags_keep_their_error_order(args, message):
     result = run_cli(args)
@@ -177,8 +188,31 @@ def test_solve_flags_keep_their_error_order(args, message):
     assert result.stderr.startswith(f"error: {message}")
 
 
-def test_solve_float_converts_once(find_roots_calls, conversions):
+def test_solve_float_converts_once(monkeypatch, find_roots_calls, conversions):
+    # exact roots: the equation stays exact and the answer is rounded once
+    rounded = []
+    original = Expr.to_float
+
+    def counted(self):
+        rounded.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Expr, "to_float", counted)
     result = run_cli(["solve", "--float", "y'' + y = t"])
     assert result.exit_code == 0, result.output
-    assert "zero-within-tolerance" in result.output
-    assert len(find_roots_calls) == 1 and len(conversions) == 1
+    assert "residual:       exact-zero" in result.output
+    assert len(find_roots_calls) == 1 and conversions == []
+    assert len(rounded) == 1 and rounded[0].is_exact()
+
+
+def test_float_route_refuses_a_forcing_it_cannot_resolve():
+    # the float zero test drops a term at most REL_EPS times the largest:
+    # the t^2 and -2 of the answer were lost, and the check did not notice
+    ode = parse_ode("y'' - 2y = 1000000000000000*t + t^2")
+    with pytest.raises(OverflowGuard, match="span more than 1/REL_EPS"):
+        ode.to_float()
+    with pytest.raises(OverflowGuard, match="span more than 1/REL_EPS"):
+        particular_solution(ode)
+    exact = parse_ode("y'' + y = 1000000000000000*t + t^2")
+    y, _ = particular_solution(exact)
+    assert len(y) == 3 and len(y.to_float()) == 3
