@@ -23,18 +23,19 @@ from .errors import (NonConvergence, NotClosedForm, OdeCascadeError, ParseError,
                      VerificationFailed)
 from .parsing import (
     _digit_limit,
-    _real_part_json,
+    _part_json,
     _render_terms,
+    _scalar_plain,
     expr_to_json_terms,
     parse_numeric_function,
     parse_ode,
     realexpr_to_json_terms,
     render,
+    roots_to_json,
     trace_to_json,
     parse_forcing,
 )
 from .roots import characteristic, find_roots
-from .scalars import GaussianRational
 from .solver import particular_solution, plan
 from .varcoef import PowerCoefODE, linspace, solve_varcoef
 from .verify import (
@@ -64,36 +65,24 @@ def _fail(message: str, code: int = 1):
     sys.exit(code)
 
 
-def _roots_json(rootset) -> list:
-    return [{"re": float(e.value.real), "im": float(e.value.imag),
-             "mult": e.multiplicity, "exact": e.exact} for e in rootset.entries]
-
-
-def _root_str(value) -> str:
-    fmt = str if isinstance(value, GaussianRational) else repr
-    if value.imag == 0:
-        return fmt(value.real)
-    sign = "+" if value.imag >= 0 else "-"
-    return f"{fmt(value.real)} {sign} {fmt(abs(value.imag))}i"
-
-
 def _poly_str(coeffs) -> str:
     """The characteristic polynomial in r, highest power first."""
     terms = [RealTerm(c, k) for k, c in reversed(list(enumerate(coeffs))) if c]
-    return _render_terms(terms, "plain", "r")
+    with _digit_limit():
+        return _render_terms(terms, "plain", "r")
 
 
-def _solve_report(ode_text, ode, trace, as_latex, show_steps, elapsed) -> str:
+def _solve_report(ode_text, ode, poly, trace, as_latex, show_steps, elapsed) -> str:
     style = "latex" if as_latex else "plain"
     var = ode.var
     roots_bits = ", ".join(
-        f"{_root_str(e.value)} (mult {e.multiplicity}, "
+        f"{_scalar_plain(e.value)} (mult {e.multiplicity}, "
         f"{'exact' if e.exact else 'approx'})"
         for e in trace.roots.entries
     )
     lines = [
         f"ode:            {ode_text}",
-        f"characteristic: {_poly_str(ode.coeffs)}",
+        f"characteristic: {poly}",
         f"roots:          {roots_bits}",
     ]
     if show_steps:
@@ -112,6 +101,8 @@ def solve(ode_text, as_json, as_latex, show_steps, force_exact, force_float):
     if force_exact and force_float:
         _fail("--exact and --float are mutually exclusive")
     ode = parse_ode(ode_text)
+    # first, so that an unprintable polynomial is refused before its roots are found
+    poly = None if as_json else _poly_str(ode.coeffs)
     t0 = time.perf_counter()
     solve_plan = plan(ode)
     if force_exact and not solve_plan.roots.all_exact():
@@ -129,10 +120,10 @@ def solve(ode_text, as_json, as_latex, show_steps, force_exact, force_float):
             import json
             report = json.dumps({
                 "ode": {
-                    "coeffs": [_real_part_json(c) for c in ode.coeffs],
+                    "coeffs": [_part_json(c) for c in ode.coeffs],
                     "forcing": expr_to_json_terms(ode.forcing),
                 },
-                "roots": _roots_json(trace.roots),
+                "roots": roots_to_json(trace.roots),
                 "y_p": {
                     "real_terms": realexpr_to_json_terms(trace.y_p_real)
                     if trace.y_p_real is not None else [],
@@ -142,23 +133,25 @@ def solve(ode_text, as_json, as_latex, show_steps, force_exact, force_float):
                 "trace": trace_to_json(trace) if show_steps else [],
             })
         else:
-            report = _solve_report(ode_text, ode, trace, as_latex, show_steps, elapsed)
+            report = _solve_report(ode_text, ode, poly, trace, as_latex, show_steps, elapsed)
     print(report)
 
 
 def roots(ode_text, as_json):
     """Characteristic roots of ODE_TEXT with multiplicities."""
     ode = parse_ode(ode_text)
+    # first, so that an unprintable polynomial is refused before its roots are found
+    poly = None if as_json else _poly_str(ode.coeffs)
     rootset = find_roots(characteristic(ode))
     with _digit_limit():
         if as_json:
             import json
-            report = json.dumps(_roots_json(rootset))
+            report = json.dumps(roots_to_json(rootset))
         else:
             report = "\n".join([
-                f"characteristic: {_poly_str(ode.coeffs)}",
+                f"characteristic: {poly}",
                 "root                          mult  exact",
-                *(f"{_root_str(e.value):<28}  {e.multiplicity:<4}  {e.exact}"
+                *(f"{_scalar_plain(e.value):<28}  {e.multiplicity:<4}  {e.exact}"
                   for e in rootset.entries),
             ])
     print(report)

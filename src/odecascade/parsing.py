@@ -875,11 +875,11 @@ def _latex_term(sign, coeff, tpow, logpow, rate, trig, var: str):
 
 # -- json --------------------------------------------------------------------
 
-def _scalar_json_parts(s):
-    if isinstance(s, GaussianRational):
-        return ([s.re.numerator, s.re.denominator], [s.im.numerator, s.im.denominator])
-    c = complex(s)
-    return (c.real, c.imag)
+def _part_json(v):
+    """One real part: ``[num, den]`` when exact, a float when approximate."""
+    if isinstance(v, (int, Fraction)):
+        return [v.numerator, v.denominator]
+    return float(v)
 
 
 def _part_from_json(v):
@@ -889,16 +889,11 @@ def _part_from_json(v):
 
 
 def expr_to_json_terms(e: Expr) -> list:
-    out = []
-    for t in e.terms:
-        cr, ci = _scalar_json_parts(t.coeff)
-        er, ei = _scalar_json_parts(t.exponent)
-        out.append({
-            "coeff_re": cr, "coeff_im": ci,
-            "tpow": t.tpow, "logpow": t.logpow,
-            "exp_re": er, "exp_im": ei,
-        })
-    return out
+    return [{
+        "coeff_re": _part_json(t.coeff.real), "coeff_im": _part_json(t.coeff.imag),
+        "tpow": t.tpow, "logpow": t.logpow,
+        "exp_re": _part_json(t.exponent.real), "exp_im": _part_json(t.exponent.imag),
+    } for t in e.terms]
 
 
 def _scalar_from_json(obj, name: str):
@@ -913,19 +908,12 @@ def expr_from_json_terms(terms: list) -> Expr:
                       for obj in terms])
 
 
-def _real_part_json(v):
-    if isinstance(v, (int, Fraction)):
-        f = Fraction(v)
-        return [f.numerator, f.denominator]
-    return float(v)
-
-
 def realexpr_to_json_terms(e: RealExpr) -> list:
     return [{
-        "coeff": _real_part_json(t.coeff),
+        "coeff": _part_json(t.coeff),
         "tpow": t.tpow, "logpow": t.logpow,
-        "alpha": _real_part_json(t.alpha),
-        "beta": _real_part_json(t.beta),
+        "alpha": _part_json(t.alpha),
+        "beta": _part_json(t.beta),
         "kind": t.kind,
     } for t in e.terms]
 
@@ -946,21 +934,16 @@ def realexpr_from_json_terms(terms: list) -> RealExpr:
 def render(obj, style: str = "plain", var: str = "t") -> str:
     """Deterministic text for an Expr, RealExpr or CascadeTrace.
 
-    ``style`` is one of "plain" (parseable by :func:`parse_forcing`),
-    "latex", or "json" (the term-list schema used by the CLI).  Raises
-    :class:`OverflowGuard` when a coefficient has more digits than Python
-    converts to text.
+    ``style`` is "plain" (parseable by :func:`parse_forcing`) or "latex";
+    the JSON term lists are written by :func:`expr_to_json_terms` and
+    :func:`realexpr_to_json_terms`.  Raises :class:`OverflowGuard` when a
+    coefficient has more digits than Python converts to text.
     """
-    if style not in ("plain", "latex", "json"):
+    if style not in ("plain", "latex"):
         raise ValueError(f"unknown style {style!r}")
     with _digit_limit():
         if isinstance(obj, CascadeTrace):
             return _render_trace(obj, style, var)
-        if style == "json":
-            import json
-            if isinstance(obj, Expr):
-                return json.dumps(expr_to_json_terms(obj))
-            return json.dumps(realexpr_to_json_terms(obj))
         if not isinstance(obj, (Expr, RealExpr)):
             raise TypeError(f"cannot render {type(obj).__name__}")
         return _render_terms(obj.terms, style, var)
@@ -968,10 +951,9 @@ def render(obj, style: str = "plain", var: str = "t") -> str:
 
 @contextmanager
 def _digit_limit():
-    """Re-raise what stops a huge exact value from being printed as
-    :class:`OverflowGuard`: Python's int-to-str digit limit (a ValueError from
-    ``str``, ``repr`` or ``json.dumps``) and the double range (an
-    OverflowError from writing the value as a JSON float)."""
+    """Re-raise Python's int-to-str digit limit (a ValueError from ``str``,
+    ``repr`` or ``json.dumps`` on a huge exact value) as
+    :class:`OverflowGuard`."""
     try:
         yield
     except ValueError as exc:
@@ -979,25 +961,26 @@ def _digit_limit():
             "result too large to print: an integer has more digits than "
             "Python converts to text (see PYTHONINTMAXSTRDIGITS)"
         ) from exc
-    except OverflowError as exc:
-        raise OverflowGuard(
-            "result too large to print: a value is beyond the range of a "
-            "JSON float"
-        ) from exc
+
+
+def _root_json(root) -> dict:
+    return {"re": _part_json(root.real), "im": _part_json(root.imag)}
+
+
+def roots_to_json(rootset) -> list:
+    return [{**_root_json(e.value), "mult": e.multiplicity, "exact": e.exact}
+            for e in rootset.entries]
 
 
 def trace_to_json(trace) -> list:
     return [{
-        "root": {"re": float(complex(st.root).real), "im": float(complex(st.root).imag)},
+        "root": _root_json(st.root),
         "input": expr_to_json_terms(st.input),
         "output": expr_to_json_terms(st.output),
     } for st in trace.stages]
 
 
 def _render_trace(trace, style: str, var: str) -> str:
-    if style == "json":
-        import json
-        return json.dumps(trace_to_json(trace))
     lines = []
     for idx, st in enumerate(trace.stages, start=1):
         root = _scalar_plain(st.root) if style == "plain" else _scalar_latex(st.root)

@@ -33,6 +33,12 @@ from .errors import DomainError, NotFactorable, OverflowGuard, StepTooLarge
 
 #: exp argument cap: |a x^(n+1)/(n+1)| above this overflows doubles.
 EXP_ARG_LIMIT = 700.0
+#: Largest stage residual :func:`solve_varcoef` accepts from the march.
+STAGE_TOL = 1e-6
+#: Grid nodes at which the closed forms cross-check the march, and the
+#: relative deviation allowed there.
+PROBE_POINTS = 5
+PROBE_TOL = 1e-6
 #: Gauss-Legendre nodes per panel of the cross-check quadrature.
 GL_ORDER = 16
 #: The cross-check doubles its panel count up to this many, then settles for
@@ -154,16 +160,28 @@ def _max_abs(values) -> float:
     return max((abs(v) for v in values if not math.isnan(v)), default=math.nan)
 
 
-def solve_varcoef(ode: PowerCoefODE, h: float, stage_tol: float = 1e-6,
-                  probe_points: int = 5, probe_tol: float = 1e-6) -> NumericSolution:
+def solve_varcoef(ode: PowerCoefODE, h: float) -> NumericSolution:
     """March both first-order stages left-to-right with classical RK4.
 
     Zero initial values at x0 give the canonical particular solution.  After
     the march the stage residuals are checked (:class:`StepTooLarge` if they
-    exceed ``stage_tol``) and the integrating-factor closed forms are
-    evaluated by Gauss-Legendre quadrature at ``probe_points`` probe nodes as
-    an independent cross-check.
+    exceed :data:`STAGE_TOL`) and the integrating-factor closed forms are
+    evaluated by Gauss-Legendre quadrature at :data:`PROBE_POINTS` probe
+    nodes as an independent cross-check.
     """
+    sol = _march(ode, h)
+    if max(sol.max_stage1_residual, sol.max_stage2_residual) > STAGE_TOL:
+        raise StepTooLarge(
+            f"stage residuals {sol.max_stage1_residual:.3e}, "
+            f"{sol.max_stage2_residual:.3e} exceed {STAGE_TOL:.1e}; reduce h"
+        )
+    probe_xs, phi_err, y_err = _cross_check(sol, ode, PROBE_POINTS, PROBE_TOL)
+    return sol._replace(probe_xs=probe_xs, probe_phi_errors=phi_err, probe_y_errors=y_err)
+
+
+def _march(ode: PowerCoefODE, h: float) -> NumericSolution:
+    """The RK4 march of :func:`solve_varcoef` and its residuals, unchecked:
+    the probe fields are None."""
     if h <= 0:
         raise ValueError("h must be positive")
     worst = max(abs(_exp_arg(ode.a, ode.n, ode.x0)), abs(_exp_arg(ode.a, ode.n, ode.x1)))
@@ -209,16 +227,7 @@ def solve_varcoef(ode: PowerCoefODE, h: float, stage_tol: float = 1e-6,
     # the residuals at the first and last node are NaN whatever q is there)
     qs.append(q(xs[-1]))
     residuals = _residual_arrays((xs, phis, ys, h_eff), ode, qs)
-    maxima = [_max_abs(r) for r in residuals]
-    if max(maxima[:2]) > stage_tol:
-        raise StepTooLarge(
-            f"stage residuals {maxima[0]:.3e}, {maxima[1]:.3e} exceed {stage_tol:.1e}; "
-            "reduce h"
-        )
-    probes = ()
-    if probe_points > 0:
-        probes = _cross_check((xs, phis, ys), ode, probe_points, probe_tol)
-    return NumericSolution(xs, phis, ys, h_eff, *residuals, *maxima, *probes)
+    return NumericSolution(xs, phis, ys, h_eff, *residuals, *map(_max_abs, residuals))
 
 
 def _cross_check(march, ode: PowerCoefODE, probe_points: int, probe_tol: float):

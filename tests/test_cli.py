@@ -162,15 +162,15 @@ def test_solve_exact_repeated_resonance():
     # case never found them
     result = _timed_cli(["solve", "--exact", "y'''' + 2y'' + y = sin(t)"])
     assert result.exit_code == 0, result.stderr
-    assert "0 + 1i (mult 2, exact), 0 - 1i (mult 2, exact)" in result.output
+    assert "roots:          i (mult 2, exact), -i (mult 2, exact)\n" in result.output
     assert "residual:       exact-zero" in result.output
 
 
 def test_solve_two_gaussian_pairs_exactly():
     result = _timed_cli(["solve", "y'''' + 5y'' + 4y = cos(t)"])
     assert result.exit_code == 0, result.stderr
-    assert "0 + 2i (mult 1, exact)" in result.output
-    assert "0 - 1i (mult 1, exact)" in result.output
+    assert " 2*i (mult 1, exact)" in result.output
+    assert " -i (mult 1, exact)" in result.output
     assert "approx" not in result.output
     assert "residual:       exact-zero" in result.output
 
@@ -214,8 +214,9 @@ def test_solve_json_round_trip():
     assert set(payload) == {"ode", "roots", "y_p", "residual", "trace"}
     assert payload["residual"] == "zero"
     assert payload["ode"]["coeffs"] == [[6, 1], [5, 1], [1, 1]]
-    roots = {(r["re"], r["im"], r["mult"], r["exact"]) for r in payload["roots"]}
-    assert roots == {(-2.0, 0.0, 1, True), (-3.0, 0.0, 1, True)}
+    # exact roots keep their [num, den] parts
+    assert payload["roots"] == [{"re": [-2, 1], "im": [0, 1], "mult": 1, "exact": True},
+                                {"re": [-3, 1], "im": [0, 1], "mult": 1, "exact": True}]
     # the JSON y_p term list re-normalizes to the in-memory expression
     _, trace = particular_solution(parse_ode("y''+5y'+6y = exp(t)*cos(t)"))
     assert expr_from_json_terms(payload["y_p"]["complex_terms"]) == trace.y_p
@@ -229,6 +230,48 @@ def test_solve_json_trace_only_with_steps():
     assert len(json.loads(with_steps.output)["trace"]) == 2
 
 
+@pytest.mark.parametrize("ode_text, roots_line", [
+    ("y'' + y' + 5/4y = t", "(-1/2+i) (mult 1, exact), (-1/2-i) (mult 1, exact)"),
+    ("y''' + y' + y = 1",
+     "(0.34116390191400964+1.161541399997252*i) (mult 1, approx), "
+     "(0.34116390191400964-1.161541399997252*i) (mult 1, approx), "
+     "-0.6823278038280193 (mult 1, approx)"),
+])
+def test_roots_print_like_every_scalar(ode_text, roots_line):
+    # the roots line, the stage lines and the roots table write a root alike
+    result = run_cli(["solve", "--steps", ode_text])
+    assert result.exit_code == 0, result.stderr
+    assert f"roots:          {roots_line}\n" in result.output
+    texts = [bit.split(" (mult")[0] for bit in roots_line.split("), ")]
+    for idx, text in enumerate(texts, start=1):
+        assert f"stage {idx}: solve phi' - ({text})*phi = " in result.output
+    table = run_cli(["roots", ode_text]).output.splitlines()[2:]
+    assert [line.split()[0] for line in table] == texts
+
+
+def test_solve_json_exact_roots_past_the_double_range():
+    # the root 10^400 has no double value; its JSON parts are exact
+    result = run_cli(["solve", "--json", "--steps", "y' - 1e400y = 1"])
+    assert result.exit_code == 0, result.stderr
+    payload = json.loads(result.output)
+    assert payload["residual"] == "zero"
+    assert payload["roots"] == [{"re": [10 ** 400, 1], "im": [0, 1], "mult": 1, "exact": True}]
+    assert [st["root"] for st in payload["trace"]] == [{"re": [10 ** 400, 1], "im": [0, 1]}]
+
+
+def test_json_approximate_roots_stay_floats():
+    payload = json.loads(run_cli(["solve", "--json", "--steps", "y'' - 2y = 1"]).output)
+    roots = [(r["re"], r["im"], r["exact"]) for r in payload["roots"]]
+    assert roots == [(pytest.approx(2 ** 0.5), 0.0, False),
+                     (pytest.approx(-(2 ** 0.5)), 0.0, False)]
+    # a stage writes its root as the roots list does
+    assert [st["root"] for st in payload["trace"]] == [{"re": r["re"], "im": r["im"]}
+                                                       for r in payload["roots"]]
+    data = json.loads(run_cli(["roots", "--json", "y''' + y' + y = 0"]).output)
+    assert all(type(r[part]) is float for r in data for part in ("re", "im"))
+    assert [r["exact"] for r in data] == [False] * 3
+
+
 # ---------------------------------------------------------------------------
 # roots
 # ---------------------------------------------------------------------------
@@ -240,11 +283,11 @@ def test_roots_fixtures():
 
     result = run_cli(["roots", "y''-4y'+4y = 0", "--json"])
     data = json.loads(result.output)
-    assert data == [{"re": 2.0, "im": 0.0, "mult": 2, "exact": True}]
+    assert data == [{"re": [2, 1], "im": [0, 1], "mult": 2, "exact": True}]
 
     result = run_cli(["roots", "y''-2y'+5y = 0", "--json"])
-    data = {(r["re"], r["im"], r["mult"]) for r in json.loads(result.output)}
-    assert data == {(1.0, 2.0, 1), (1.0, -2.0, 1)}
+    data = {(tuple(r["re"]), tuple(r["im"]), r["mult"]) for r in json.loads(result.output)}
+    assert data == {((1, 1), (2, 1), 1), ((1, 1), (-2, 1), 1)}
 
 
 # ---------------------------------------------------------------------------

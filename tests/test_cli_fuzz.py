@@ -150,13 +150,11 @@ def _case(name, args, code, message=None, seconds=None, **kw):
 @pytest.mark.parametrize("args, code, message, seconds", [
     # exact roots past the double range
     _case("solve-huge-root", ["solve", "y' - 1e400y = 1"], 0),
-    _case("solve-json-huge-root", ["solve", "y' - 1e400y = 1", "--json"], 1,
-          "error: result too large to print: a value is beyond the range of a "
-          "JSON float"),
+    _case("solve-json-huge-root", ["solve", "y' - 1e400y = 1", "--json"], 0),
     _case("roots-huge-root", ["roots", "y' + 1e5000y = 0"], 1,
           "error: result too large to print", marks=needs_digit_limit),
     _case("roots-json-huge-root", ["roots", "y' + 1e5000y = 0", "--json"], 1,
-          "error: result too large to print"),
+          "error: result too large to print", marks=needs_digit_limit),
     # a residual too large to print
     _case("verify-huge-residual", ["verify", "y' + y = 1", "1e5000"], 1,
           "error: result too large to print", marks=needs_digit_limit),
@@ -275,7 +273,8 @@ def _case(name, args, code, message=None, seconds=None, **kw):
           "the largest integer coefficient, got 64 * 4319", seconds=1.0),
     _case("root-bits-cap-dense", ["solve", _DENSE_PAST_CAP], 1,
           "error: root finding is limited to 262144", seconds=1.0),
-    _case("root-bits-cap-order-3", ["solve", "1e19727y''' + y' + 1e-19727y = 1"], 1,
+    # (JSON, since text solve refuses the unprintable polynomial first)
+    _case("root-bits-cap-order-3", ["solve", "--json", "1e19727y''' + y' + 1e-19727y = 1"], 1,
           "error: root finding is limited to 262144", seconds=1.0),
 ])
 def test_cli_regression(args, code, message, seconds):
@@ -285,11 +284,34 @@ def test_cli_regression(args, code, message, seconds):
         assert time.perf_counter() - start < seconds
     assert result.exit_code == code, result.stderr
     if message is None:
-        assert "residual:       exact-zero" in result.stdout
+        verdict = '"residual": "zero"' if "--json" in args else "residual:       exact-zero"
+        assert verdict in result.stdout
         return
     assert result.stdout == ""
     assert result.stderr.startswith(message)
     assert len(result.stderr.splitlines()) == 1
+
+
+#: just under the root route's bits cap, with 19,728-digit coefficients
+_UNPRINTABLE_CHARACTERISTIC = "1e19727y'' + 1e-19727y'' + 1e19727y' + 1e19727y = 0"
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("command", ["roots", "solve"])
+def test_unprintable_characteristic_is_refused_before_root_finding(command, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("find_roots ran")
+
+    monkeypatch.setattr("odecascade.cli.find_roots", refuse)
+    monkeypatch.setattr("odecascade.solver.find_roots", refuse)
+    result = _assert_clean([command, _UNPRINTABLE_CHARACTERISTIC])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr.startswith("error: result too large to print")
+    # the JSON roots and verify print no coefficient, and find_roots runs for them
+    monkeypatch.undo()
+    for args in (["roots", "--json", _UNPRINTABLE_CHARACTERISTIC],
+                 ["verify", _UNPRINTABLE_CHARACTERISTIC, "0"]):
+        assert _assert_clean(args).exit_code == 0, args
 
 
 def test_literal_at_the_bits_cap_parses():

@@ -331,8 +331,13 @@ def test_json_real_terms_round_trip(re):
 
 
 def test_render_json_style():
+    # render writes text only; the JSON term lists have their own writers
     e = E(term(1, 1))
-    assert json.loads(render(e, "json")) == expr_to_json_terms(e)
+    with pytest.raises(ValueError, match="unknown style 'json'"):
+        render(e, "json")
+    with pytest.raises(ValueError, match="unknown style 'json'"):
+        render(realify(e), "json")
+    assert expr_from_json_terms(json.loads(json.dumps(expr_to_json_terms(e)))) == e
 
 
 # ---------------------------------------------------------------------------

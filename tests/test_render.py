@@ -7,6 +7,7 @@ unit, negative, Gaussian and float coefficients, cos/sin with beta = 1 and
 beta != 1, zero, stage traces, and the CLI's characteristic polynomial.
 """
 
+import json
 import sys
 from fractions import Fraction as F
 
@@ -18,6 +19,7 @@ from odecascade import (
     OverflowGuard,
     RealExpr,
     RealTerm,
+    expr_to_json_terms,
     normalize,
     parse_ode,
     particular_solution,
@@ -25,6 +27,7 @@ from odecascade import (
     term,
 )
 from odecascade.cli import _poly_str
+from odecascade.parsing import _digit_limit
 
 EXPR_CASES = [
     (term(1, 1), "t", "t"),
@@ -167,10 +170,19 @@ def test_characteristic_polynomial_text(coeffs, text):
     assert _poly_str(coeffs) == text
 
 
+#: the writer of each output format
+_WRITERS = {
+    "plain": lambda e: render(e, "plain"),
+    "latex": lambda e: render(e, "latex"),
+    "json": lambda e: json.dumps(expr_to_json_terms(e)),
+}
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="this Python has no int-to-str digit limit")
 @pytest.mark.parametrize("style", ["plain", "latex", "json"])
 def test_render_too_many_digits_is_overflow_guard(style):
+    # the CLI writes its JSON under the guard that render applies itself
     e = normalize([term(F(1, 7 ** 6000), 1)])
-    with pytest.raises(OverflowGuard):
-        render(e, style)
+    with pytest.raises(OverflowGuard), _digit_limit():
+        _WRITERS[style](e)

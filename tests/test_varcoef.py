@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from odecascade import (
     residual_varcoef,
     solve_varcoef,
 )
-from odecascade.varcoef import _GL_NODES, _GL_WEIGHTS, GL_ORDER, _closed_forms, _cross_check
+from odecascade.varcoef import (_GL_NODES, _GL_WEIGHTS, GL_ORDER, PROBE_POINTS, _closed_forms,
+                                _cross_check, _march)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +122,7 @@ def test_march_evaluates_the_forcing_once_per_point():
         points.append(x)
         return math.exp(x * x / 2)
 
-    sol = solve_varcoef(PowerCoefODE(1.0, 1, forcing, 0.0, 1.0), 1e-3, probe_points=0)
+    sol = _march(PowerCoefODE(1.0, 1, forcing, 0.0, 1.0), 1e-3)
     assert len(points) == 3 * 1000 + 1
     assert points[-1] == sol.xs[-1]
     assert residual_varcoef(sol, PowerCoefODE(1.0, 1, forcing, 0.0, 1.0)) == (
@@ -129,8 +131,8 @@ def test_march_evaluates_the_forcing_once_per_point():
 
 def test_probe_cross_check_agrees():
     ode = PowerCoefODE(1.0, 1, lambda x: math.exp(x * x / 2), 0.0, 1.0)
-    sol = solve_varcoef(ode, 1e-3, probe_points=5)
-    assert len(sol.probe_xs) == 5
+    sol = solve_varcoef(ode, 1e-3)
+    assert len(sol.probe_xs) == PROBE_POINTS == 5
     assert float(np.max(sol.probe_phi_errors)) < 1e-8
     assert float(np.max(sol.probe_y_errors)) < 1e-8
 
@@ -165,7 +167,7 @@ def test_gauss_legendre_rule_matches_numpy():
 @pytest.mark.parametrize("probe_points", [1, 2, 3, 5, 7, 10, 64])
 def test_probe_nodes_match_numpy(count, probe_points):
     ode = PowerCoefODE(1.0, 1, lambda x: math.exp(x * x / 2), 0.0, 1.0)
-    sol = solve_varcoef(ode, 1.0 / (count - 1), stage_tol=math.inf, probe_points=0)
+    sol = _march(ode, 1.0 / (count - 1))
     assert len(sol.xs) == count
     probe_xs, _, _ = _cross_check(sol, ode, probe_points, math.inf)
     idx = np.unique(np.linspace(1, count - 1, probe_points).astype(int))
@@ -175,7 +177,7 @@ def test_probe_nodes_match_numpy(count, probe_points):
 @pytest.mark.parametrize("attr", ["phi", "y"])
 def test_cross_check_catches_perturbed_probe(attr):
     ode = PowerCoefODE(1.0, 1, lambda x: math.exp(x * x / 2), 0.0, 1.0)
-    sol = solve_varcoef(ode, 1e-3, probe_points=5)
+    sol = solve_varcoef(ode, 1e-3)
     node = int(np.searchsorted(sol.xs, sol.probe_xs[2]))
     getattr(sol, attr)[node] += 1e-4
     with pytest.raises(StepTooLarge):
@@ -186,9 +188,14 @@ def test_cross_check_overflow_is_guarded():
     # a = -1 on [0, 500]: the march stays finite, but the closed forms need
     # e^(A(u) - 2 A(s)) = e^(2s - u), past the double range beyond s ~ 355
     ode = PowerCoefODE(-1.0, 0, lambda x: 1.0, 0.0, 500.0)
-    sol = solve_varcoef(ode, 1.0, stage_tol=math.inf, probe_points=0)
+    sol = _march(ode, 1.0)
     with pytest.raises(OverflowGuard, match="closed-form cross-check is not finite"):
         _cross_check(sol, ode, 5, 1e-6)
+
+
+def test_solve_varcoef_takes_the_equation_and_the_step():
+    # the tolerances and the probe count are module constants
+    assert list(inspect.signature(solve_varcoef).parameters) == ["ode", "h"]
 
 
 def test_overflow_guard():
