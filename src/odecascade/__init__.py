@@ -16,7 +16,6 @@ from .algebra import (
     Term,
     add,
     antiderivative,
-    conjugate,
     const,
     differentiate,
     evaluate,
@@ -75,7 +74,7 @@ __version__ = "0.1.0"
 __all__ = [
     "COS", "SIN", "REL_EPS",
     "Expr", "RealExpr", "RealTerm", "Term", "GaussianRational",
-    "add", "antiderivative", "conjugate", "const", "differentiate",
+    "add", "antiderivative", "const", "differentiate",
     "evaluate", "exponential", "expr", "multiply", "normalize", "realify",
     "scale", "term", "as_scalar", "rational_sqrt",
     "LinearODE", "SourceSpan", "parse_forcing", "parse_ode",

@@ -21,13 +21,14 @@ multiply-integrate-multiply route: the float residual test is scaled by the
 size of its inputs, so changed last bits would flip borderline verdicts.
 
 The exact kernels (the stage's back-substitution, the exponential-shift
-identity behind the verifier's ``apply_operator`` and the real part the
-cascade takes of a real problem's answer) share one layout for a rate group:
-its Gaussian-rational coefficients as Gaussian-integer numerator pairs
-(a, b) over one positive denominator, the lcm of the parts' denominators
-(:func:`_numerators`).  The work runs on those integers, and each result
-is turned back into a :class:`GaussianRational` with one gcd per part
-(:func:`_rational`), the fraction-free idea of Bareiss (Math. Comp. 1968).
+identity behind the verifier's ``apply_operator``, the real part of a real
+problem's answer, and the parser's products, :func:`multiply`) share one
+layout: Gaussian-rational coefficients (and rates, in :func:`multiply`) as
+Gaussian-integer numerator pairs (a, b) over one positive denominator, the
+lcm of the parts' denominators (:func:`_numerators`).  The work runs on
+those integers, and each result is reduced to a :class:`GaussianRational`
+with one gcd per part (:func:`_rational`), the fraction-free idea of
+Bareiss (Math. Comp. 1968).
 
 ``k`` may be negative so that differentiation never leaves the algebra
 (d/dt ln t = 1/t); the parser and the solvers only ever produce k >= 0.
@@ -39,13 +40,14 @@ expressions represent the same function iff they are structurally equal
 (approximate backend, :func:`_negligible`).  Kernels whose keys cannot merge
 or reorder build that form directly: negation keeps every key; on exact data
 :func:`solve_stage` sorts each rate group's keys (groups come in order),
-:func:`_apply_by_shift`, :func:`_real_part` and :func:`realify` emit in order
-and drop zeros, parser leaves are single terms (:func:`_one_term`), and
-``to_float`` rounds in place, refusing rates that round together.  They
-build terms with the private ``tuple.__new__(Term, (coeff, tpow, logpow, lam))``,
-which takes only scalars already in the backend's type; public ``Term`` checks.
+:func:`multiply` sorts its integer keys, :func:`_apply_by_shift`,
+:func:`_real_part` and :func:`realify` emit in order and drop zeros, parser
+leaves are single terms (:func:`_one_term`), and ``to_float`` rounds in
+place, refusing rates that round together.  They build terms with the
+private ``tuple.__new__(Term, (coeff, tpow, logpow, lam))``, which takes only
+scalars already in the backend's type; public ``Term`` checks.
 :func:`_canonicalize` (merge, drop zeros, sort) runs everywhere else: sums,
-products, scaling, conjugation and the float backend.
+scaling, conjugation and the float backend, float products included.
 
 :class:`Expr` and the real-basis :class:`RealExpr` are one immutable
 container (:class:`_Sum`) over two bases; each brings only its
@@ -271,30 +273,11 @@ class Expr(_Sum):
     def __neg__(self):
         return Expr([_new(Term, (-t.coeff, *t[1:])) for t in self.terms], _canonical=True)
 
-    def __mul__(self, other):
-        if isinstance(other, Expr):
-            return multiply(self, other)
-        return scale(other, self)
-
-    def __rmul__(self, other):
-        return scale(other, self)
-
-    # -- calculus ---------------------------------------------------------
-
-    def diff(self) -> "Expr":
-        return differentiate(self)
-
-    def integrate(self) -> "Expr":
-        return antiderivative(self)
-
     def conjugate(self) -> "Expr":
         return Expr(
             [Term(_conj_scalar(t.coeff), t.tpow, t.logpow, _conj_scalar(t.exponent))
              for t in self.terms]
         )
-
-    def realify(self) -> "RealExpr":
-        return realify(self)
 
     def approx_equal(self, other: "Expr") -> bool:
         """Equality within the approximate backend's zero test.
@@ -325,23 +308,6 @@ def add(a: Expr, b: Expr) -> Expr:
 def scale(c, a: Expr) -> Expr:
     c = as_scalar(c)
     return Expr([Term(c * t.coeff, t.tpow, t.logpow, t.exponent) for t in a.terms])
-
-
-def multiply(a: Expr, b: Expr) -> Expr:
-    out = []
-    for ta in a.terms:
-        for tb in b.terms:
-            out.append(Term(
-                ta.coeff * tb.coeff,
-                ta.tpow + tb.tpow,
-                ta.logpow + tb.logpow,
-                ta.exponent + tb.exponent,
-            ))
-    return normalize(out)
-
-
-def conjugate(e: Expr) -> Expr:
-    return e.conjugate()
 
 
 def differentiate(e: Expr) -> Expr:
@@ -402,6 +368,33 @@ def _numerators(values) -> tuple[list, int]:
 def _rational(a: int, b: int, den: int) -> GaussianRational:
     """(a + b i) / den for den > 0, reduced with one gcd per part."""
     return GaussianRational(Fraction(a, den), Fraction(b, den))
+
+
+def multiply(a: Expr, b: Expr) -> Expr:
+    """The product a*b.  On exact operands the pairwise products are summed on
+    Gaussian-integer numerators (:func:`_numerators`), keyed by the rate
+    numerators over one denominator, tpow and logpow, and each output
+    coefficient and distinct rate is reduced once.  A float operand makes the
+    product float (``to_float``), term pair by term pair."""
+    if not (a.is_exact() and b.is_exact()):
+        a, b = a.to_float(), b.to_float()
+        return normalize([Term(ta.coeff * tb.coeff, ta.tpow + tb.tpow, ta.logpow + tb.logpow,
+                               ta.exponent + tb.exponent) for ta in a.terms for tb in b.terms])
+    (ca, da), (cb, db) = (_numerators([t.coeff for t in e.terms]) for e in (a, b))
+    rates, rd = _numerators([t.exponent for t in a.terms + b.terms])
+    left = [(*c, *r, t.tpow, t.logpow) for c, r, t in zip(ca, rates, a.terms)]
+    right = [(*c, *r, t.tpow, t.logpow) for c, r, t in zip(cb, rates[len(ca):], b.terms)]
+    acc: dict = {}
+    for x, y, u, v, k, m in left:
+        for p, q, w, z, j, n in right:
+            key = (u + w, v + z, k + j, m + n)
+            re, im = acc.get(key, (0, 0))
+            acc[key] = (re + x * p - y * q, im + x * q + y * p)
+    # one denominator for every rate, so integer key order is (Re lam, Im lam) order
+    lams = {uv: _rational(*uv, rd) for uv in {key[:2] for key in acc}}
+    return Expr([_new(Term, (_rational(re, im, da * db), k, m, lams[u, v]))
+                 for (u, v, k, m), (re, im) in sorted(acc.items()) if re or im],
+                _canonical=True)
 
 
 def _back_substitute(p: dict, mu) -> dict:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -280,13 +281,18 @@ def _join_values(argv) -> list:
 def main(argv=None, standalone_mode=True):
     """Run one command on ``argv`` (default ``sys.argv[1:]``).  A nonzero exit
     leaves as ``SystemExit``: a usage error with 2, any OdeCascadeError as
-    one ``error:`` line with its code from :data:`_EXIT_CODES`.
-    ``standalone_mode`` is accepted and ignored, for callers of the former
-    click entry point."""
+    one ``error:`` line with its code from :data:`_EXIT_CODES`, and a closed
+    stdout ("| head") with 1 and nothing on stderr.  ``standalone_mode`` is
+    accepted and ignored, for callers of the former click entry point."""
     args = vars(_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv)))
     func = args.pop("func")
     try:
         func(**args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the Python docs' recipe: the flush at exit must not hit the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     except OdeCascadeError as exc:
         span = getattr(exc, "span", None)
         where = f" at {span.start}..{span.end}" if span else ""

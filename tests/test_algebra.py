@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from odecascade import (
@@ -25,7 +26,7 @@ from odecascade import (
     term,
 )
 
-from support import antiderivable_exprs, exprs_strategy, real_exprs_strategy
+from support import antiderivable_exprs, exprs_strategy, gaussian_rationals, real_exprs_strategy
 from test_render import REAL_CASES
 
 I = GR(0, 1)
@@ -85,6 +86,70 @@ def test_multiply_inner_cancellation():
     lhs = E(term(1, 0, 0, -2))
     rhs = E(term(Fraction(1, 4), 4, 0, 2))
     assert multiply(lhs, rhs) == E(term(Fraction(1, 4), 4))
+
+
+# ---------------------------------------------------------------------------
+# multiply: the numerator kernel against term pairs
+# ---------------------------------------------------------------------------
+
+def _pairwise_product(a, b):
+    """a*b the plain way: every term pair multiplied on scalars, normalized."""
+    return normalize([Term(x.coeff * y.coeff, x.tpow + y.tpow, x.logpow + y.logpow,
+                           x.exponent + y.exponent) for x in a for y in b])
+
+
+_sixths = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+
+#: rates with denominators 1 to 6, so that pairs with different denominators
+#: sum to one rate (1/3 + 1/6 = 1/2, i/4 + i/4 = i/2, (2/3 - i/2) + (-1 + i) ...)
+_product_rates = st.sampled_from([
+    GR(0), GR(1), GR(-1), GR(Fraction(1, 2)), GR(Fraction(1, 3)), GR(Fraction(1, 6)),
+    GR(0, Fraction(1, 4)), GR(0, Fraction(-1, 4)), GR(Fraction(2, 3), Fraction(-1, 2)),
+    GR(-1, 1), GR(Fraction(-1, 3), Fraction(1, 2)),
+])
+
+_product_exprs = st.lists(
+    st.builds(Term, coeff=st.one_of(gaussian_rationals, st.builds(GR, _sixths, _sixths)),
+              tpow=st.integers(0, 3), logpow=st.integers(0, 2), exponent=_product_rates),
+    max_size=5).map(normalize)
+
+
+@settings(max_examples=300)
+@given(_product_exprs, _product_exprs)
+def test_multiply_equals_the_term_pair_product(a, b):
+    assert multiply(a, b) == _pairwise_product(a, b)
+    # (a + b)(a - b): the cross terms a_i*b_j cancel wherever no square meets them
+    assert multiply(a + b, a - b) == _pairwise_product(a + b, a - b)
+
+
+@pytest.mark.parametrize("a, b, want", [
+    # (t+1)*(t-1): the t terms cancel
+    (E(term(1, 1), term(1)), E(term(1, 1), term(-1)), E(term(-1), term(1, 2))),
+    # sin(t)*cos(t) = sin(2t)/2: the rate-0 terms cancel
+    (E(term(-HALF * I, 0, 0, I), term(HALF * I, 0, 0, -I)),
+     E(term(HALF, 0, 0, I), term(HALF, 0, 0, -I)),
+     E(term(-HALF * HALF * I, 0, 0, 2 * I), term(HALF * HALF * I, 0, 0, -2 * I))),
+    # (t + e^(t/3)) * (t - e^(-t/3)): rates 0 + 0 and 1/3 - 1/3 meet at 0
+    (E(term(1, 1), term(1, 0, 0, Fraction(1, 3))),
+     E(term(1, 1), term(-1, 0, 0, Fraction(-1, 3))),
+     E(term(-1), term(1, 2), term(-1, 1, 0, Fraction(-1, 3)),
+       term(1, 1, 0, Fraction(1, 3)))),
+    (Expr.zero(), E(term(2, 1), term(1, 0, 0, I)), Expr.zero()),
+    (E(term(Fraction(2, 3), 1, 1)), Expr.zero(), Expr.zero()),
+])
+def test_multiply_cancels_exactly(a, b, want):
+    got = multiply(a, b)
+    assert got.terms == want.terms == _pairwise_product(a, b).terms
+    assert multiply(b, a).terms == want.terms
+
+
+def test_multiply_with_a_float_operand_is_float():
+    exact = E(term(Fraction(1, 3), 1), term(1, 0, 0, Fraction(1, 2)))
+    floats = normalize([Term(0.5, 0, 0, 0.0)])
+    for got in (multiply(exact, floats), multiply(floats, exact)):
+        assert not got.is_exact()
+        assert got == normalize([Term(0.5 / 3, 1, 0, 0.0), Term(0.5, 0, 0, 0.5)])
+    assert multiply(Expr.zero(), floats).is_zero
 
 
 # ---------------------------------------------------------------------------

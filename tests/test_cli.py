@@ -3,9 +3,12 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -503,3 +506,19 @@ def test_version():
     result = run_cli(["--version"])
     assert result.exit_code == 0
     assert "0.1.0" in result.stdout
+
+
+def test_closed_stdout_exits_quietly():
+    # "odecascade solve ... | head -1": the reader closes the pipe after one
+    # line, while more than a pipe buffer (64 KiB) of output is still unwritten
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "odecascade.cli", "solve", "--steps", "y'' + y = (t+1)^100"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"ode:")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err, err

@@ -216,13 +216,13 @@ def _case(name, args, code, message=None, seconds=None, **kw):
           "error: a characteristic coefficient has no double value", seconds=1.0),
     # a forcing the float route cannot resolve: the float zero test dropped
     # its small terms, so y_p = -500000000000000.06*t passed the check, and
-    # the (t+1)^399 stages overflowed to an empty y_p (exit 4); parsing
-    # (t+1)^399 takes most of the second case's time, so it has no bound
+    # the (t+1)^399 stages overflowed to an empty y_p (exit 4)
     _case("float-forcing-span", ["solve", "y'' - 2y = 1000000000000000*t + t^2"], 1,
           "error: the forcing's coefficients span more than 1/REL_EPS = 1e+12",
           seconds=1.0),
     _case("float-forcing-span-power", ["solve", "y^(6)+y=(t+1)^399"], 1,
-          "error: the forcing's coefficients span more than 1/REL_EPS = 1e+12"),
+          "error: the forcing's coefficients span more than 1/REL_EPS = 1e+12",
+          seconds=1.0),
     # float stage coefficients past the double range (exit 4, inf-scale
     # residual terms)
     _case("float-stage-overflow", ["solve", "y'' - 2y = t^200"], 1,

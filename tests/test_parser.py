@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,15 @@ def test_forcing_size_caps():
             parse_forcing(text)
     with pytest.raises(DegreeLimitExceeded, match="degree 5000 in t"):
         parse_ode("y' = t^5000")
+
+
+def test_a_product_of_capped_powers_parses_quickly():
+    # each factor has 251 terms, within POWER_TERM_CAP; the product took
+    # 11-17 s while multiply worked on GaussianRational term pairs
+    start = time.perf_counter()
+    e = parse_forcing("sin(t)^250*cos(2t)^250*sin(3t)^250")
+    assert time.perf_counter() - start < 1.0
+    assert len(e) == 1501
 
 
 def test_parse_imaginary_literal_extension():

@@ -152,6 +152,24 @@ def test_render_real_sum():
         r" - 2\sin(3t) + t^{-2}\ln(t)e^{\frac{1}{2}t}\cos(\frac{1}{2}t) + 7\ln(t)e^t\sin t")
 
 
+@pytest.mark.parametrize("e, plain, latex", [
+    # the complex form of solve "y'''' + 2y'' + y = sin(t)"
+    (normalize([term(GR(0, F(3, 64)), 0, 0, GR(0, -1)), term(F(-1, 16), 1, 0, GR(0, -1)),
+                term(GR(0, F(-1, 16)), 2, 0, GR(0, -1))]),
+     "3/64*i*exp(-i*t) - 1/16*t*exp(-i*t) - 1/16*i*t^2*exp(-i*t)",
+     r"\frac{3}{64}ie^{-it} - \frac{1}{16}te^{-it} - \frac{1}{16}it^2e^{-it}"),
+    (normalize([term(1, 1), term(GR(0, -1), 2), term(GR(-1, -1), 3)]),
+     "t - i*t^2 + (-1-i)*t^3", "t - it^2 + (-1-i)t^3"),
+    (normalize([term(GR(0, -2)), term(1, 1)]), "-2*i + t", "-2i + t"),
+    # floats: LaTeX writes the real part inside the parentheses, sign and all
+    (normalize([term(1.0, 1), term(-0.5j, 0, 0, 1.0), term(complex(0.0, -2.0), 0, 0, 2.0)]),
+     "t - 0.5*i*exp(t) - 2.0*i*exp(2.0*t)", "t + (-0.0-0.5i)e^t + (0.0-2.0i)e^{2.0t}"),
+])
+def test_render_splits_the_sign_of_an_imaginary_coefficient(e, plain, latex):
+    assert render(e) == plain
+    assert render(e, "latex") == latex
+
+
 def test_render_zero():
     for zero in (Expr.zero(), RealExpr(())):
         assert render(zero) == "0"
